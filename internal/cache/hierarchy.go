@@ -21,7 +21,9 @@ type AccessResult struct {
 	// Latency is the CPU-cycle cost of the levels traversed (memory time
 	// is added by the simulator from the controller's completion).
 	Latency int
-	// MemOps lists line fills and writebacks that must go to memory.
+	// MemOps lists line fills and writebacks that must go to memory. It is
+	// the hierarchy's op scratch: valid only until the next Access or
+	// FillLine on the same Hierarchy.
 	MemOps []MemOp
 }
 
@@ -35,6 +37,9 @@ type Hierarchy struct {
 	// hierarchy and cleared per call instead of reallocated — the access
 	// path is single-threaded per engine.
 	flushSeen map[uint64]bool
+	// ops is the memory-op scratch Access and FillLine collect into and
+	// hand out, so a miss allocates nothing once the slice has grown.
+	ops []MemOp
 }
 
 // NewHierarchy builds a hierarchy from outermost private to shared last
@@ -66,6 +71,7 @@ func (h *Hierarchy) LLC() *Cache { return h.levels[len(h.levels)-1] }
 // the touched sectors (the sector-cache behaviour of Section 5.1).
 func (h *Hierarchy) Access(addr uint64, size int, write, sectored bool) AccessResult {
 	var res AccessResult
+	h.ops = h.ops[:0]
 	hitAt := 0
 	for i, lvl := range h.levels {
 		res.Latency += lvl.hitLat
@@ -88,26 +94,27 @@ func (h *Hierarchy) Access(addr uint64, size int, write, sectored bool) AccessRe
 		} else {
 			sectors = llc.FullSectorMask()
 		}
-		res.MemOps = append(res.MemOps, MemOp{Addr: llc.lineAddr(addr), Sectors: sectors, Sectored: sectored})
-		h.fillAll(addr, sectored, write, size, &res)
-		return res
+		h.ops = append(h.ops, MemOp{Addr: llc.lineAddr(addr), Sectors: sectors, Sectored: sectored})
+		h.fillAll(addr, sectored, write, size)
+	} else {
+		// Hit at a lower level: allocate upward into the missed upper levels.
+		for i := hitAt - 2; i >= 0; i-- {
+			h.fillLevel(i, addr, sectored, write, size)
+		}
 	}
-	// Hit at a lower level: allocate upward into the missed upper levels.
-	for i := hitAt - 2; i >= 0; i-- {
-		h.fillLevel(i, addr, sectored, write, size, &res)
-	}
+	res.MemOps = h.ops
 	return res
 }
 
 // fillAll allocates the accessed data into every level, collecting
 // writebacks.
-func (h *Hierarchy) fillAll(addr uint64, sectored, write bool, size int, res *AccessResult) {
+func (h *Hierarchy) fillAll(addr uint64, sectored, write bool, size int) {
 	for i := len(h.levels) - 1; i >= 0; i-- {
-		h.fillLevel(i, addr, sectored, write, size, res)
+		h.fillLevel(i, addr, sectored, write, size)
 	}
 }
 
-func (h *Hierarchy) fillLevel(i int, addr uint64, sectored, write bool, size int, res *AccessResult) {
+func (h *Hierarchy) fillLevel(i int, addr uint64, sectored, write bool, size int) {
 	lvl := h.levels[i]
 	var sectors uint64
 	if sectored {
@@ -115,22 +122,23 @@ func (h *Hierarchy) fillLevel(i int, addr uint64, sectored, write bool, size int
 	} else {
 		sectors = lvl.FullSectorMask()
 	}
-	h.fillLevelSectors(i, addr, sectors, write, sectored, res)
+	h.fillLevelSectors(i, addr, sectors, write, sectored)
 }
 
 // FillLine installs the given sectors of a line into every level without a
 // demand access — the sibling fills of a strided fetch, which brings the
 // same-offset sector of Reach lines in one burst. It returns any memory
-// writebacks the allocations displaced.
+// writebacks the allocations displaced, in the hierarchy's op scratch:
+// valid only until the next Access or FillLine, like AccessResult.MemOps.
 func (h *Hierarchy) FillLine(addr uint64, sectors uint64, sectored bool) []MemOp {
-	var res AccessResult
+	h.ops = h.ops[:0]
 	for i := len(h.levels) - 1; i >= 0; i-- {
-		h.fillLevelSectors(i, addr, sectors, false, sectored, &res)
+		h.fillLevelSectors(i, addr, sectors, false, sectored)
 	}
-	return res.MemOps
+	return h.ops
 }
 
-func (h *Hierarchy) fillLevelSectors(i int, addr uint64, sectors uint64, write, sectored bool, res *AccessResult) {
+func (h *Hierarchy) fillLevelSectors(i int, addr uint64, sectors uint64, write, sectored bool) {
 	lvl := h.levels[i]
 	ev, dirty := lvl.Fill(addr, sectors, write, sectored)
 	if !dirty {
@@ -138,7 +146,7 @@ func (h *Hierarchy) fillLevelSectors(i int, addr uint64, sectors uint64, write, 
 	}
 	lvl.Stats.WritebacksToBelow++
 	if i == len(h.levels)-1 {
-		res.MemOps = append(res.MemOps, MemOp{Addr: ev.LineAddr, IsWrite: true, Sectors: ev.Dirty, Sectored: ev.Sectored})
+		h.ops = append(h.ops, MemOp{Addr: ev.LineAddr, IsWrite: true, Sectors: ev.Dirty, Sectored: ev.Sectored})
 		return
 	}
 	// Push the dirty line into the next level down.
@@ -147,23 +155,23 @@ func (h *Hierarchy) fillLevelSectors(i int, addr uint64, sectors uint64, write, 
 	if dirty2 {
 		below.Stats.WritebacksToBelow++
 		if i+1 == len(h.levels)-1 {
-			res.MemOps = append(res.MemOps, MemOp{Addr: ev2.LineAddr, IsWrite: true, Sectors: ev2.Dirty, Sectored: ev2.Sectored})
+			h.ops = append(h.ops, MemOp{Addr: ev2.LineAddr, IsWrite: true, Sectors: ev2.Dirty, Sectored: ev2.Sectored})
 		} else {
 			// Deeper cascades are rare with growing level sizes; recurse.
-			h.pushDown(i+2, ev2, res)
+			h.pushDown(i+2, ev2)
 		}
 	}
 }
 
-func (h *Hierarchy) pushDown(i int, ev Eviction, res *AccessResult) {
+func (h *Hierarchy) pushDown(i int, ev Eviction) {
 	if i >= len(h.levels) {
-		res.MemOps = append(res.MemOps, MemOp{Addr: ev.LineAddr, IsWrite: true, Sectors: ev.Dirty, Sectored: ev.Sectored})
+		h.ops = append(h.ops, MemOp{Addr: ev.LineAddr, IsWrite: true, Sectors: ev.Dirty, Sectored: ev.Sectored})
 		return
 	}
 	ev2, dirty := h.levels[i].Fill(ev.LineAddr, ev.Dirty, true, ev.Sectored)
 	if dirty {
 		h.levels[i].Stats.WritebacksToBelow++
-		h.pushDown(i+1, ev2, res)
+		h.pushDown(i+1, ev2)
 	}
 }
 

@@ -186,3 +186,81 @@ func TestHierarchyStridedAndRegularInterleave(t *testing.T) {
 		t.Fatalf("widened line not resident: %+v", res)
 	}
 }
+
+// TestHierarchyMissZeroAllocs pins the op scratch: on a warm hierarchy a
+// demand miss that displaces a dirty line, and a strided sibling FillLine
+// that does the same, allocate nothing.
+func TestHierarchyMissZeroAllocs(t *testing.T) {
+	// Every level maps addresses step apart to one set, and 16 lines cycle
+	// through the 8-way LLC under LRU, so each access misses everywhere.
+	const step, lines = 64 * 32, 16
+	t.Run("Access", func(t *testing.T) {
+		h := testHierarchy(4)
+		i, writebacks := uint64(0), 0
+		miss := func() {
+			res := h.Access((i%lines)*step, 8, true, true)
+			i++
+			if res.HitLevel != 0 {
+				t.Fatalf("access %d hit level %d, want a miss", i, res.HitLevel)
+			}
+			for _, op := range res.MemOps {
+				if op.IsWrite {
+					writebacks++
+				}
+			}
+		}
+		for j := 0; j < 2*lines; j++ {
+			miss()
+		}
+		writebacks = 0
+		if a := testing.AllocsPerRun(200, miss); a != 0 {
+			t.Fatalf("warm dirty-victim miss: %v allocs/op, want 0", a)
+		}
+		if writebacks == 0 {
+			t.Fatal("no dirty victim reached memory; the test lost its premise")
+		}
+	})
+	t.Run("FillLine", func(t *testing.T) {
+		h := testHierarchy(4)
+		i, writebacks := uint64(0), 0
+		fill := func() {
+			// Dirty the set's next line, then fill a conflicting one.
+			h.Access((i%lines)*step, 8, true, true)
+			writebacks += len(h.FillLine(((i+lines/2)%lines)*step+lines*step, 0b0010, true))
+			i++
+		}
+		for j := 0; j < 2*lines; j++ {
+			fill()
+		}
+		writebacks = 0
+		if a := testing.AllocsPerRun(200, fill); a != 0 {
+			t.Fatalf("warm FillLine: %v allocs/op, want 0", a)
+		}
+		if writebacks == 0 {
+			t.Fatal("FillLine displaced no dirty line; the test lost its premise")
+		}
+	})
+}
+
+// BenchmarkHierarchyStridedMiss times one strided miss as the engine issues
+// it on the default cache geometry: a sectored Access that misses every
+// level, then the Reach sibling FillLines of its gather group (Gran4: 8
+// sectors a line, one 8-byte field of 8 consecutive 1 KB records).
+func BenchmarkHierarchyStridedMiss(b *testing.B) {
+	const lb, reach, recBytes = 64, 8, 1024
+	mk := func(name string, size int) *Cache {
+		return New(Config{Name: name, SizeBytes: size, LineBytes: lb, Ways: 8, Sectors: 8, HitLatency: 4})
+	}
+	h := NewHierarchy(mk("L1", 32<<10), mk("L2", 256<<10), mk("LLC", 8<<20))
+	// 64 Ki records (64 MB) keep every group a miss in the 8 MB LLC.
+	const groups = (64 << 10) / reach
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		base := uint64(i%groups) * reach * recBytes
+		h.Access(base+80, 8, false, true)
+		for r := uint64(0); r < reach; r++ {
+			addr := base + r*recBytes + 80
+			h.FillLine(addr&^(lb-1), 1<<((addr%lb)/8), true)
+		}
+	}
+}

@@ -9,7 +9,8 @@ import (
 
 // Txn is one CPU-visible memory touch the executor generates. The cache
 // decides hit or miss; Group describes how a miss is served when the design
-// fetches strided groups instead of single lines.
+// fetches strided groups instead of single lines (Sectored set). FieldAccess
+// leaves Group nil for the caller to Gather on a miss.
 type Txn struct {
 	Addr     uint64
 	Size     int
@@ -50,6 +51,10 @@ type Placer struct {
 	base      uint64
 	lineBytes int
 	rowBytes  int
+	// Bank geometry, copied once so per-member address encoding does not
+	// copy the whole dram.Geometry.
+	banksPerRank int
+	bankGroups   int
 
 	// Hybrid layout state (nil unless built with NewPlacerHybrid).
 	hotFields       []int
@@ -65,10 +70,11 @@ type Placer struct {
 	stripeRowBase    int // row-wise rows, per-bank, where this table starts
 	colRowBase       int // synthetic column-direction row space
 
-	// Gather scratch. The Txn a ReadField/WriteField returns points at
-	// scratchGroup, so the group is valid only until the next field call on
-	// this Placer — the engine consumes each Txn synchronously, which is the
-	// contract that lets field access be allocation-free.
+	// Gather scratch. Gather (and so the Txn a ReadField/WriteField
+	// returns) points at scratchGroup, so the group is valid only until the
+	// next Gather on this Placer — the engine consumes each group
+	// synchronously, which is the contract that lets field access be
+	// allocation-free.
 	scratchGroup   StrideGroup
 	scratchMembers []int
 }
@@ -88,6 +94,9 @@ func NewPlacer(d *Design, schema imdb.Schema, slot int, colStore bool) *Placer {
 		base:      uint64(slot) * slotBytes,
 		lineBytes: d.Mem.Geometry.LineBytes,
 		rowBytes:  d.Mem.Geometry.RowBytes,
+
+		banksPerRank: d.Mem.Geometry.Banks(),
+		bankGroups:   d.Mem.Geometry.BankGroups,
 	}
 	if schema.RecordBytes() > p.rowBytes {
 		panic(fmt.Sprintf("design: record %dB exceeds row %dB", schema.RecordBytes(), p.rowBytes))
@@ -186,11 +195,10 @@ func (p *Placer) stripeColAddr(rec, field int) uint64 {
 }
 
 func (p *Placer) encodeBankRow(bank, row, byteInRow int) uint64 {
-	g := p.D.Mem.Geometry
 	co := mc.Coord{
-		Rank:   bank / g.Banks(),
-		Group:  (bank % g.Banks()) % g.BankGroups,
-		Bank:   (bank % g.Banks()) / g.BankGroups,
+		Rank:   bank / p.banksPerRank,
+		Group:  (bank % p.banksPerRank) % p.bankGroups,
+		Bank:   (bank % p.banksPerRank) / p.bankGroups,
 		Row:    row,
 		Col:    byteInRow / p.lineBytes,
 		Offset: byteInRow % p.lineBytes,
@@ -255,9 +263,12 @@ func (p *Placer) appendGroupMembers(members []int, rec int) []int {
 	return members
 }
 
-// strideGroup builds the gather serving field accesses of rec's alignment
-// group: the same field sector of the group's records in one burst.
-func (p *Placer) strideGroup(rec, field int) *StrideGroup {
+// Gather builds the strided group serving a miss on (rec, field): the same
+// field sector of every record in rec's alignment group, fetched in one
+// burst. It is a pure function of (rec, field) and the placer's geometry,
+// so the engine calls it only once the cache hierarchy has missed. The
+// returned group is the placer's scratch, valid until the next Gather.
+func (p *Placer) Gather(rec, field int) *StrideGroup {
 	g := &p.scratchGroup
 	*g = StrideGroup{
 		Lane:   (fieldOffset(field) / p.D.Gran.SectorBytes) % 4,
@@ -293,25 +304,33 @@ func (p *Placer) strideGroup(rec, field int) *StrideGroup {
 	return g
 }
 
-// fieldTxn builds the transaction for one field access.
-func (p *Placer) fieldTxn(rec, field int, write bool) Txn {
-	t := Txn{
-		Addr:  p.canonAddr(rec, field),
-		Size:  imdb.FieldBytes,
-		Write: write,
+// FieldAccess returns the transaction for one field access without its
+// gather group: Sectored is set when a miss is served by a strided fetch,
+// and Group is left nil for the caller to fill from Gather on a miss.
+func (p *Placer) FieldAccess(rec, field int, write bool) Txn {
+	return Txn{
+		Addr:     p.canonAddr(rec, field),
+		Size:     imdb.FieldBytes,
+		Write:    write,
+		Sectored: p.D.SupportsStride() && !p.ColStore && p.hotIdx == nil,
 	}
-	if p.D.SupportsStride() && !p.ColStore && p.hotIdx == nil {
-		t.Sectored = true
-		t.Group = p.strideGroup(rec, field)
+}
+
+// fieldTxn is FieldAccess with the gather group filled in.
+func (p *Placer) fieldTxn(rec, field int, write bool) Txn {
+	t := p.FieldAccess(rec, field, write)
+	if t.Sectored {
+		t.Group = p.Gather(rec, field)
 	}
 	return t
 }
 
-// ReadField returns the transaction reading one field.
+// ReadField returns the transaction reading one field, gather group
+// included.
 func (p *Placer) ReadField(rec, field int) Txn { return p.fieldTxn(rec, field, false) }
 
 // WriteField returns the transaction writing one field (sstore path on
-// strided designs).
+// strided designs), gather group included.
 func (p *Placer) WriteField(rec, field int) Txn { return p.fieldTxn(rec, field, true) }
 
 // recordTxns covers a whole record line by line (row-wise access).

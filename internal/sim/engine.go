@@ -268,11 +268,42 @@ func (e *engine) memOpRequest(op cache.MemOp, lane int, gang bool) mc.Request {
 // rest is absorbed by window back-pressure — the clock catches up to
 // completions only when the window is full.
 func (e *engine) do(t design.Txn) {
-	res := e.sys.Hierarchy.Access(t.Addr, t.Size, t.Write, t.Sectored)
-	e.spend(e.sys.CPU.ComputePerField + float64(res.Latency)*e.sys.CPU.LatencyOverlap)
+	if res := e.access(t); res.HitLevel == 0 {
+		e.miss(t, res)
+	}
+}
+
+// doField executes one field access of pl's table. It is do with the
+// gather built on demand: a hit never reaches the memory side, so the
+// strided group — Reach member addresses plus the line/sector merge — is
+// built only when the whole hierarchy misses. Gather is a pure function
+// of (rec, field), so the requests match do(pl.ReadField(rec, field))
+// exactly.
+func (e *engine) doField(pl *design.Placer, rec, field int, write bool) {
+	t := pl.FieldAccess(rec, field, write)
+	res := e.access(t)
 	if res.HitLevel > 0 {
 		return
 	}
+	if t.Sectored {
+		t.Group = pl.Gather(rec, field)
+	}
+	e.miss(t, res)
+}
+
+// access runs t through the cache hierarchy and charges its compute and
+// overlapped latency to the clock.
+func (e *engine) access(t design.Txn) cache.AccessResult {
+	res := e.sys.Hierarchy.Access(t.Addr, t.Size, t.Write, t.Sectored)
+	e.spend(e.sys.CPU.ComputePerField + float64(res.Latency)*e.sys.CPU.LatencyOverlap)
+	return res
+}
+
+// miss sends a hierarchy miss to memory: a plain line fill, or the strided
+// group fetch t.Group describes, plus the writebacks in res.MemOps. The
+// hierarchy reuses its op scratch, so res.MemOps is consumed before the
+// first FillLine.
+func (e *engine) miss(t design.Txn, res cache.AccessResult) {
 	gang := t.Group != nil && t.Group.Gang
 
 	if t.Group == nil {

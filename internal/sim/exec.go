@@ -146,7 +146,7 @@ func (c *scanContext) forEachMatchBatch(visit func(matches []int)) error {
 			// Column-at-a-time predicate reads.
 			for _, f := range c.plan.PredFields {
 				for rec := start; rec < end; rec++ {
-					c.e.do(pl.ReadField(rec, f))
+					c.e.doField(pl, rec, f, false)
 				}
 			}
 		}
@@ -210,7 +210,7 @@ func (s *System) runScan(p *sql.Plan) (*QueryResult, error) {
 		// Column-at-a-time projection over the batch's matches.
 		for _, f := range p.ProjFields {
 			for _, rec := range matches {
-				e.do(pl.ReadField(rec, f))
+				e.doField(pl, rec, f, false)
 			}
 		}
 		for _, rec := range matches {
@@ -265,7 +265,7 @@ func (s *System) runUpdate(p *sql.Plan) (*QueryResult, error) {
 		// Column-at-a-time writes (the sstore path on strided designs).
 		for _, set := range p.Sets {
 			for _, rec := range matches {
-				e.do(pl.WriteField(rec, set.Field))
+				e.doField(pl, rec, set.Field, true)
 				t.SetValue(rec, set.Field, set.Value)
 			}
 		}
@@ -343,7 +343,7 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 		}
 		for _, f := range innerFields {
 			for rec := start; rec < end; rec++ {
-				e.do(plIn.ReadField(rec, f))
+				e.doField(plIn, rec, f, false)
 			}
 		}
 		for rec := start; rec < end; rec++ {
@@ -361,7 +361,7 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 		}
 		for _, f := range outerFields {
 			for rec := start; rec < end; rec++ {
-				e.do(plOut.ReadField(rec, f))
+				e.doField(plOut, rec, f, false)
 			}
 		}
 		for rec := start; rec < end; rec++ {
