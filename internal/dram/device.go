@@ -420,7 +420,7 @@ func maxN(vals ...Cycle) Cycle {
 
 // EarliestIssue returns the earliest cycle >= now at which cmd is legal.
 func (d *Device) EarliestIssue(cmd Command, now Cycle) Cycle {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	rk := &d.ranks[cmd.Rank]
 	switch cmd.Kind {
 	case CmdACT:
@@ -476,7 +476,7 @@ func (d *Device) EarliestIssue(cmd Command, now Cycle) Cycle {
 // earliestColumn computes the issue constraint for RD/WR including CCD,
 // turnaround, data-bus occupancy, and mode/rank switch penalties.
 func (d *Device) earliestColumn(cmd Command, now Cycle) Cycle {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	rk := &d.ranks[cmd.Rank]
 	bk := d.bank(cmd)
 	gs := &rk.groups[cmd.Group]
@@ -554,7 +554,7 @@ func (d *Device) lastBusWasRead() bool {
 // mirror rank holds the same row open by construction (mirrored
 // allocation), so only rank-global constraints apply.
 func (d *Device) gangConstrain(cmd Command, earliest Cycle, kind CmdKind) Cycle {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	for r := range d.ranks {
 		if r == cmd.Rank {
 			continue
@@ -602,7 +602,7 @@ func (d *Device) apply(cmd Command, at Cycle) IssueResult {
 	if e := d.EarliestIssue(cmd, at); e > at {
 		panic(fmt.Sprintf("dram: %v issued at %d, legal at %d", cmd, at, e))
 	}
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	rk := &d.ranks[cmd.Rank]
 	switch cmd.Kind {
 	case CmdACT:
@@ -664,7 +664,7 @@ func (d *Device) apply(cmd Command, at Cycle) IssueResult {
 }
 
 func (d *Device) issueColumn(cmd Command, at Cycle) IssueResult {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	rk := &d.ranks[cmd.Rank]
 	bk := d.bank(cmd)
 	if !bk.open || bk.row != cmd.Row {

@@ -82,6 +82,33 @@ func BenchmarkControllerServiceOne(b *testing.B) {
 	benchServiceLoop(b, c, 48)
 }
 
+// BenchmarkControllerServiceOneDeepRowHits measures the shape a streaming
+// column scan leaves in the controller: a full 64-entry read queue of row
+// hits on two banks (each moving to a new row every LinesPerRow lines),
+// where the per-service bank-preparation lookahead finds nothing to do.
+// BenchmarkControllerServiceOne keeps fewer, scattered requests queued.
+func BenchmarkControllerServiceOneDeepRowHits(b *testing.B) {
+	c := NewController(dram.NewDevice(dram.DDR4_2400()), DefaultConfig())
+	m := c.AddrMap()
+	lines := m.geo.LinesPerRow()
+	k := 0
+	next := func() Request {
+		line := k / 2
+		co := Coord{Group: k % 2, Row: line / lines % (1 << 12), Col: line % lines}
+		k++
+		return Request{ID: uint64(k), Addr: m.Encode(co), Arrival: c.Now()}
+	}
+	for c.CanAccept(false) {
+		c.Enqueue(next())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ServiceOne()
+		c.Enqueue(next())
+	}
+}
+
 // BenchmarkControllerServiceOneReference is the same loop on the frozen
 // pre-optimization scheduler — the denominator of the speedup claim.
 func BenchmarkControllerServiceOneReference(b *testing.B) {

@@ -134,6 +134,9 @@ type Controller struct {
 	dev  *dram.Device
 	amap *AddrMap
 	cfg  Config
+	// ranks is the device's rank count, cached so the per-service refresh
+	// check does not copy the whole dram.Config.
+	ranks int
 
 	// readQ/writeQ hold value-typed entries with their addresses decoded
 	// once at Enqueue and indexed per bank (see queue.go) — the service
@@ -283,6 +286,7 @@ func NewController(dev *dram.Device, cfg Config) *Controller {
 		dev:    dev,
 		amap:   NewAddrMapInterleave(dev.Config().Geometry, cfg.Interleave),
 		cfg:    cfg,
+		ranks:  dev.Config().Geometry.Ranks,
 		readQ:  newReqQueue(cfg.ReadQueueCap, banks),
 		writeQ: newReqQueue(cfg.WriteQueueCap, banks),
 	}
@@ -492,34 +496,49 @@ const prepareLookahead = 8
 // prepareAhead issues PRE/ACT for upcoming queued requests whose banks are
 // not ready, so their row activations overlap the current request's column
 // access instead of serializing behind it. A bank is only prepared when no
-// other arrived request still wants its currently open row. The scan walks
-// the queue in enqueue order over pre-decoded entries; current has already
-// been dequeued.
+// other arrived request still wants its currently open row; current has
+// already been dequeued. Only a bank's first arrived entry in enqueue order
+// can prepare it, and banks decide independently (DESIGN.md §8), so one
+// probe per occupied bank replaces a walk of the whole queue. The
+// prepareLookahead lowest-seq survivors are issued in enqueue order, which
+// is what sets the tRRD/tFAW timing.
 func (c *Controller) prepareAhead(q *reqQueue, current *entry) {
-	prepared := 0
-	for i := q.head; i != nilSlot; i = q.slots[i].next {
-		if prepared >= prepareLookahead {
-			return
-		}
-		e := &q.slots[i]
-		if e.req.Arrival > c.now {
-			continue
-		}
-		if e.bank == current.bank {
+	var cand [prepareLookahead]int32
+	n := 0
+	for _, bank := range q.occBanks {
+		if bank == current.bank {
 			continue // never disturb the bank the current request needs
 		}
-		row, open := c.dev.OpenRowAt(int(e.bank))
-		if open && row == e.co.Row {
-			continue // already a row hit
+		i := q.firstArrived(bank, c.now)
+		if i == nilSlot {
+			continue
 		}
-		if open {
-			if c.anyArrivedWantsRow(e.bank, row, q, i) {
-				continue // precharging would kill a pending row hit
-			}
+		e := &q.slots[i]
+		if n == prepareLookahead && e.seq > q.slots[cand[n-1]].seq {
+			continue // cannot make the cut, which only tightens
+		}
+		row, open := c.dev.OpenRowAt(int(bank))
+		if open && (row == e.co.Row || c.anyArrivedWantsRow(bank, row, q, i)) {
+			continue // already a row hit, or precharging would kill one
+		}
+		// Insert into cand, kept sorted by seq and capped at the lookahead.
+		k := n
+		if n < prepareLookahead {
+			n++
+		} else {
+			k--
+		}
+		for ; k > 0 && q.slots[cand[k-1]].seq > e.seq; k-- {
+			cand[k] = cand[k-1]
+		}
+		cand[k] = i
+	}
+	for _, i := range cand[:n] {
+		e := &q.slots[i]
+		if _, open := c.dev.OpenRowAt(int(e.bank)); open {
 			c.issue(dram.Command{Kind: dram.CmdPRE, Rank: e.co.Rank, Group: e.co.Group, Bank: e.co.Bank})
 		}
 		c.issue(dram.Command{Kind: dram.CmdACT, Rank: e.co.Rank, Group: e.co.Group, Bank: e.co.Bank, Row: e.co.Row, GangRanks: e.req.Gang})
-		prepared++
 	}
 }
 
@@ -552,7 +571,7 @@ func (c *Controller) anyArrivedWantsRow(bank int32, row int, skipQ *reqQueue, sk
 
 // serviceRefresh issues REF commands for any rank whose deadline passed.
 func (c *Controller) serviceRefresh() {
-	for r := 0; r < c.dev.Config().Geometry.Ranks; r++ {
+	for r := 0; r < c.ranks; r++ {
 		for c.dev.RefreshDue(r) <= c.now {
 			c.issue(dram.Command{Kind: dram.CmdREF, Rank: r})
 			c.Stats.Refreshes++

@@ -28,7 +28,7 @@ type entry struct {
 
 	// Arrival-order list (the queue proper).
 	prev, next int32
-	// Per-bank pending list (unordered; selection compares (Arrival, seq)).
+	// Per-bank pending list, in enqueue order (a subsequence of the queue).
 	bankPrev, bankNext int32
 }
 
@@ -50,9 +50,10 @@ type reqQueue struct {
 	lastArrival dram.Cycle
 	// Occupied-bank index: occBanks lists the banks with a nonempty
 	// pending list (unordered, swap-removed), bankPos is each bank's
-	// position in it (-1 when empty). The FR-FCFS hit scan walks occBanks
-	// instead of every flat bank index; its pick is order-independent (a
-	// strict (Arrival, seq) total order), so the walk order doesn't matter.
+	// position in it (-1 when empty). The FR-FCFS hit scan and the bank
+	// preparation lookahead walk occBanks instead of every flat bank index
+	// or queued entry; both picks are order-independent (ordered by
+	// (Arrival, seq) and seq respectively), so the walk order doesn't matter.
 	occBanks []int32
 	bankPos  []int32
 }
@@ -117,6 +118,23 @@ func (q *reqQueue) push(req Request, co Coord, bank int32, seq uint64) {
 	}
 	q.bankTail[bank] = i
 	q.n++
+}
+
+// firstArrived returns the earliest-enqueued entry of bank that has
+// arrived by now, or nilSlot. While the queue is sorted the bank list is
+// arrival-sorted too, so only its head needs a look.
+func (q *reqQueue) firstArrived(bank int32, now dram.Cycle) int32 {
+	i := q.bankHead[bank]
+	if q.sorted {
+		if i != nilSlot && q.slots[i].req.Arrival > now {
+			return nilSlot
+		}
+		return i
+	}
+	for i != nilSlot && q.slots[i].req.Arrival > now {
+		i = q.slots[i].bankNext
+	}
+	return i
 }
 
 // remove unlinks slot i from both lists and returns it to the freelist.

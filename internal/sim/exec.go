@@ -333,8 +333,11 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 	e := newEngine(s)
 	res := &QueryResult{}
 
-	// Build phase: column-at-a-time scan of the inner table.
-	hash := make(map[uint64][]int)
+	// Build phase: column-at-a-time scan of the inner table. Records with
+	// equal keys chain through next (head[key] is the newest, -1 ends a
+	// chain), not a slice per key; the probe's folds are order-insensitive.
+	head := make(map[uint64]int32)
+	next := make([]int32, inner.Records())
 	innerFields := dedup(append(append([]int{}, p.InnerPredFields...), p.InnerProj...))
 	for start := 0; start < inner.Records(); start += scanBatch {
 		end := start + scanBatch
@@ -348,7 +351,11 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 		}
 		for rec := start; rec < end; rec++ {
 			key := inner.Value(rec, eqPred.InnerField)
-			hash[key] = append(hash[key], rec)
+			h, ok := head[key]
+			if !ok {
+				h = -1
+			}
+			next[rec], head[key] = h, int32(rec)
 		}
 	}
 
@@ -365,8 +372,11 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 			}
 		}
 		for rec := start; rec < end; rec++ {
-			key := outer.Value(rec, eqPred.OuterField)
-			for _, in := range hash[key] {
+			h, ok := head[outer.Value(rec, eqPred.OuterField)]
+			if !ok {
+				continue
+			}
+			for in := int(h); in >= 0; in = int(next[in]) {
 				ok := true
 				for _, jp := range ineqPreds {
 					ov, iv := outer.Value(rec, jp.OuterField), inner.Value(in, jp.InnerField)

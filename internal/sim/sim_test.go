@@ -607,3 +607,68 @@ func TestTraceSinkCapturesRequests(t *testing.T) {
 		t.Fatalf("only %d of %d trace records strided", strided, s.TraceSink.Len())
 	}
 }
+
+// TestJoinDuplicateKeysMatchNestedLoop pins the hash join's build chains
+// against a nested-loop oracle on join keys with many duplicates: keys
+// shared by several records on both sides, a key only the inner side
+// holds, one only the outer side holds, and inner records appended by
+// INSERT (past the generated records). Both the Q7 shape (with an
+// inequality predicate) and the plain equi-join are checked.
+func TestJoinDuplicateKeysMatchNestedLoop(t *testing.T) {
+	for _, q := range []struct {
+		sql  string
+		keep func(ta, tb *imdb.Table, i, j int) bool
+	}{
+		{"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f9 = Tb.f9", nil},
+		{"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f1 > Tb.f1 AND Ta.f9 = Tb.f9",
+			func(ta, tb *imdb.Table, i, j int) bool { return ta.Value(i, 1) > tb.Value(j, 1) }},
+	} {
+		s := testSystem(design.SAMEn, 48, 80, false)
+		ta, _ := s.Table("Ta")
+		tb, _ := s.Table("Tb")
+		// f9 is near-unique in generated tables; fold it onto a few keys.
+		for i := 0; i < ta.Records(); i++ {
+			ta.SetValue(i, 9, uint64(i%6))
+		}
+		ta.SetValue(0, 9, 99) // outer-only key
+		for j := 0; j < tb.Records(); j++ {
+			tb.SetValue(j, 9, uint64(j%7)) // key 6 is inner-only
+		}
+		for _, ins := range []string{
+			"INSERT INTO Tb VALUES (0, 7, 0, 0, 9, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0)",
+			"INSERT INTO Tb VALUES (0, 1, 0, 0, 3, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0)",
+			"INSERT INTO Tb VALUES (0, 9, 0, 0, 5, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0)",
+		} {
+			if _, err := s.RunQuery(ins, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		r, err := s.RunQuery(q.sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, maxDup := 0, 0
+		var checks uint64
+		for i := 0; i < ta.Records(); i++ {
+			dup := 0
+			for j := 0; j < tb.Records(); j++ {
+				if ta.Value(i, 9) != tb.Value(j, 9) {
+					continue
+				}
+				dup++
+				if q.keep == nil || q.keep(ta, tb, i, j) {
+					want++
+					checks ^= ta.Value(i, 3) ^ tb.Value(j, 4)
+				}
+			}
+			maxDup = max(maxDup, dup)
+		}
+		if maxDup < 10 {
+			t.Fatalf("%s: at most %d inner matches per key: the keys are not duplicated", q.sql, maxDup)
+		}
+		if r.Rows != want || r.ProjChecks != checks {
+			t.Fatalf("%s: rows=%d checks=%#x, nested loop rows=%d checks=%#x", q.sql, r.Rows, r.ProjChecks, want, checks)
+		}
+	}
+}
