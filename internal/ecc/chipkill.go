@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -103,6 +104,47 @@ func (b *Burst) SetBit(chip, beat, dq int, v byte) {
 	} else {
 		b.Chips[chip][idx/8] &^= 1 << (idx % 8)
 	}
+}
+
+// laneSpread[s] places bit b of symbol s at bit 4b: symbol s on DQ lane 0
+// of a chip's 32-bit burst word. Shifting it left by dq moves it to lane dq.
+var laneSpread = func() (t [256]uint32) {
+	for s := range t {
+		for beat := 0; beat < 8; beat++ {
+			t[s] |= uint32(s>>beat&1) << (4 * beat)
+		}
+	}
+	return t
+}()
+
+// laneMask covers DQ lane 0 on all 8 beats of a chip's burst word.
+const laneMask = 0x11111111
+
+func checkLane(dq int) {
+	if dq < 0 || dq >= 4 {
+		panic(fmt.Sprintf("ecc: DQ lane %d outside a x4 chip", dq))
+	}
+}
+
+// Lane returns the 8-bit symbol DQ dq of chip carries across the burst:
+// bit beat of the result is Bit(chip, beat, dq).
+func (b *Burst) Lane(chip, dq int) byte {
+	checkLane(dq)
+	x := binary.LittleEndian.Uint32(b.Chips[chip][:]) >> dq & laneMask
+	// Compress the bits at 0, 4, ..., 28 into bits 0..7.
+	x = (x | x>>3) & 0x03030303
+	x = (x | x>>6) & 0x000f000f
+	return byte(x | x>>12)
+}
+
+// SetLane writes sym onto DQ dq of chip across the burst, bit beat of sym
+// on beat beat, in one masked write that leaves the chip's other lanes
+// untouched: the effect of eight SetBit calls.
+func (b *Burst) SetLane(chip, dq int, sym byte) {
+	checkLane(dq)
+	w := b.Chips[chip][:]
+	x := binary.LittleEndian.Uint32(w)&^(laneMask<<dq) | laneSpread[sym]<<dq
+	binary.LittleEndian.PutUint32(w, x)
 }
 
 // CorruptChip overwrites every bit a chip contributes, simulating a dead
@@ -289,15 +331,13 @@ func (c *Chipkill) placeCodeword(b *Burst, j int, cw []byte) {
 	case SchemeSSC, SchemeSSCDSD:
 		// Symbol of chip ch = its two beats 2j and 2j+1 (byte j of the
 		// chip's 32-bit burst word).
-		for ch := 0; ch < c.Chips(); ch++ {
-			b.Chips[ch][j] = cw[ch]
+		for ch, sym := range cw {
+			b.Chips[ch][j] = sym
 		}
 	case SchemeSSCVariant:
 		// Symbol of chip ch in codeword j = DQ j of chip ch across beats.
-		for ch := 0; ch < c.Chips(); ch++ {
-			for beat := 0; beat < 8; beat++ {
-				b.SetBit(ch, beat, j, (cw[ch]>>beat)&1)
-			}
+		for ch, sym := range cw {
+			b.SetLane(ch, j, sym)
 		}
 	}
 }
@@ -314,16 +354,12 @@ func (c *Chipkill) extractCodeword(b *Burst, j int) []byte {
 func (c *Chipkill) extractCodewordInto(cw []byte, b *Burst, j int) {
 	switch c.Scheme {
 	case SchemeSSC, SchemeSSCDSD:
-		for ch := 0; ch < c.Chips(); ch++ {
+		for ch := range cw {
 			cw[ch] = b.Chips[ch][j]
 		}
 	case SchemeSSCVariant:
-		for ch := 0; ch < c.Chips(); ch++ {
-			var sym byte
-			for beat := 0; beat < 8; beat++ {
-				sym |= b.Bit(ch, beat, j) << beat
-			}
-			cw[ch] = sym
+		for ch := range cw {
+			cw[ch] = b.Lane(ch, j)
 		}
 	}
 }
@@ -403,10 +439,7 @@ func (e *Extended) EncodeInto(b *Burst, data []byte) {
 	}
 	e.rs.EncodeInto(e.cw, data)
 	for i, sym := range e.cw {
-		chip, dq := i/4, i%4
-		for beat := 0; beat < 8; beat++ {
-			b.SetBit(chip, beat, dq, (sym>>beat)&1)
-		}
+		b.SetLane(i/4, i%4, sym)
 	}
 }
 
@@ -430,12 +463,7 @@ func (e *Extended) DecodeInto(data []byte, b *Burst) (corrected int, err error) 
 		panic(fmt.Sprintf("ecc: Extended.DecodeInto wants a 64-byte buffer, got %d", len(data)))
 	}
 	for i := range e.cw {
-		chip, dq := i/4, i%4
-		var sym byte
-		for beat := 0; beat < 8; beat++ {
-			sym |= b.Bit(chip, beat, dq) << beat
-		}
-		e.cw[i] = sym
+		e.cw[i] = b.Lane(i/4, i%4)
 	}
 	pos, derr := e.rs.decodeReport(e.cw)
 	if derr != nil {

@@ -209,13 +209,54 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
+// TestLaneMatchesBitOracle checks SetLane/Lane against the per-bit
+// SetBit/Bit definition for every symbol on every lane, on chip words
+// whose other bits are random: a write must replace the lane's old bits and
+// leave the other lanes as they were.
+func TestLaneMatchesBitOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	got, want := NewBurst(2), NewBurst(2)
+	for dq := 0; dq < 4; dq++ {
+		for sym := 0; sym < 256; sym++ {
+			rng.Read(got.Chips[1][:])
+			want.Chips[1] = got.Chips[1]
+			got.SetLane(1, dq, byte(sym))
+			for beat := 0; beat < 8; beat++ {
+				want.SetBit(1, beat, dq, byte(sym>>beat))
+			}
+			if got.Chips[1] != want.Chips[1] {
+				t.Fatalf("SetLane(dq=%d, %#02x): word %x, SetBit oracle %x", dq, sym, got.Chips[1], want.Chips[1])
+			}
+			var oracle byte
+			for beat := 0; beat < 8; beat++ {
+				oracle |= want.Bit(1, beat, dq) << beat
+			}
+			if l := got.Lane(1, dq); l != oracle || l != byte(sym) {
+				t.Fatalf("Lane(dq=%d) = %#02x, Bit oracle %#02x, written %#02x", dq, l, oracle, sym)
+			}
+		}
+	}
+	if got.Chips[0] != [BytesPerChip]byte{} {
+		t.Fatal("lane writes on chip 1 touched chip 0")
+	}
+}
+
+// benchEncodeInto times EncodeInto on a seeded random payload with one byte
+// changed per iteration, so every GF symbol value is in play (an all-zero
+// payload would never exercise a nonzero check contribution).
+func benchEncodeInto(b *testing.B, dataBytes int, encode func(*Burst, []byte), burst *Burst) {
+	data := randomPayload(rand.New(rand.NewSource(61)), dataBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data[i%dataBytes] += byte(i) | 1
+		encode(burst, data)
+	}
+}
+
 func BenchmarkChipkillEncodeSSC(b *testing.B) {
 	c := NewChipkill(SchemeSSC)
-	data := make([]byte, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Encode(data)
-	}
+	benchEncodeInto(b, c.DataBytes(), func(_ *Burst, data []byte) { c.Encode(data) }, nil)
 }
 
 func BenchmarkChipkillDecodeDeadChip(b *testing.B) {
@@ -235,12 +276,22 @@ func BenchmarkChipkillDecodeDeadChip(b *testing.B) {
 
 func BenchmarkChipkillEncodeIntoSSC(b *testing.B) {
 	c := NewChipkill(SchemeSSC)
-	data := make([]byte, 64)
-	burst := NewBurst(c.Chips())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.EncodeInto(burst, data)
-	}
+	benchEncodeInto(b, c.DataBytes(), c.EncodeInto, NewBurst(c.Chips()))
+}
+
+func BenchmarkChipkillEncodeIntoSSCVariant(b *testing.B) {
+	c := NewChipkill(SchemeSSCVariant)
+	benchEncodeInto(b, c.DataBytes(), c.EncodeInto, NewBurst(c.Chips()))
+}
+
+func BenchmarkChipkillEncodeIntoSSCDSD(b *testing.B) {
+	c := NewChipkill(SchemeSSCDSD)
+	benchEncodeInto(b, c.DataBytes(), c.EncodeInto, NewBurst(c.Chips()))
+}
+
+func BenchmarkExtendedEncodeInto(b *testing.B) {
+	e := NewExtended()
+	benchEncodeInto(b, 64, e.EncodeInto, NewBurst(SSCChips))
 }
 
 func BenchmarkChipkillDecodeIntoDeadChip(b *testing.B) {

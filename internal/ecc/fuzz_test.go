@@ -163,3 +163,24 @@ func FuzzRSDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRSEncode checks the table encoder against the long division on
+// fuzzed payloads, over the geometries of TestRSTableEncodeMatchesDivision.
+func FuzzRSEncode(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(3), []byte{0xFF, 0, 1})
+	f.Add(uint8(4), bytes.Repeat([]byte{0x5A}, 40))
+	f.Fuzz(func(t *testing.T, geom uint8, raw []byte) {
+		g := tableGeometries[int(geom)%len(tableGeometries)]
+		r := NewRS(g[0], g[1], 0)
+		data := make([]byte, r.K())
+		copy(data, raw)
+		got := make([]byte, r.N())
+		want := make([]byte, r.N())
+		r.EncodeInto(got, data)
+		r.encodeByDivision(want, data)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("RS(%d,%d) payload %x: table %x, division %x", g[0], g[1], data, got, want)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package ecc
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // RS is a systematic Reed-Solomon code over GF(2^8) with n total symbols
@@ -21,12 +22,14 @@ import (
 // "Codec scratch ownership"): encode/decode are allocation-free at steady
 // state, and in exchange an RS value is NOT goroutine-safe. Build one codec
 // per goroutine — which the system does anyway (one injector per channel,
-// one rank model per test).
+// one rank model per test). The encode table is the exception: it is
+// immutable and shared by every codec of the same geometry.
 type RS struct {
 	f          *GF256
 	n, k       int
 	MaxCorrect int
-	gen        []byte // generator polynomial, degree n-k, gen[0] = x^(n-k) coeff = 1
+	gen        []byte    // generator polynomial, degree n-k, gen[0] = x^(n-k) coeff = 1
+	enc        *encTable // shared check-symbol table for this (n, k)
 
 	// Scratch workspaces, sized once in NewRS so the hot paths never make
 	// or grow a slice. lambda/bpoly/tpoly carry the Berlekamp-Massey
@@ -83,7 +86,64 @@ func NewRS(n, k, maxCorrect int) *RS {
 	r.tpoly = make([]byte, 0, polyCap)
 	r.omega = make([]byte, nc)
 	r.positions = make([]int, 0, nc)
+	r.enc = encTableFor(r)
 	return r
+}
+
+// encTable holds the check symbols of every single-symbol payload of one
+// (n, k) geometry. Systematic encoding is linear — the check symbols of a
+// sum of payloads are the sum (XOR) of their check symbols — so a
+// codeword's check symbols are the XOR of one row per (data position,
+// symbol value). Each row packs the n-k check symbols into `words`
+// uint64s, check symbol c in byte c%8 of word c/8. The words are stored
+// word-major so the encoder accumulates one word at a time in a register.
+// A table takes k*256*words*8 bytes: 32 KiB for RS(18,16), 64 KiB for
+// RS(36,32), 128 KiB for RS(72,64).
+type encTable struct {
+	words int
+	rows  []uint64 // word w of row (pos, v) at (w*k+pos)*256+v
+}
+
+// encTables shares one immutable table per geometry across every codec in
+// the process: built on first demand, read-only afterwards.
+var encTables = struct {
+	sync.Mutex
+	m map[[2]int]*encTable
+}{m: map[[2]int]*encTable{}}
+
+// encTableFor returns the shared table for r's geometry, building it once.
+func encTableFor(r *RS) *encTable {
+	encTables.Lock()
+	defer encTables.Unlock()
+	key := [2]int{r.n, r.k}
+	if t := encTables.m[key]; t != nil {
+		return t
+	}
+	t := buildEncTable(r)
+	encTables.m[key] = t
+	return t
+}
+
+// buildEncTable derives every row from the long division: the unit payload
+// at position pos gives the row (pos, 1), and GF(2^8)-linearity scales it
+// to every other symbol value, row (pos, v) = v * row (pos, 1).
+func buildEncTable(r *RS) *encTable {
+	nc := r.n - r.k
+	t := &encTable{words: (nc + 7) / 8}
+	t.rows = make([]uint64, r.k*256*t.words)
+	unit := make([]byte, r.k)
+	cw := make([]byte, r.n)
+	for pos := 0; pos < r.k; pos++ {
+		unit[pos] = 1
+		r.encodeByDivision(cw, unit)
+		unit[pos] = 0
+		for v := 1; v < 256; v++ {
+			for c, sym := range cw[r.k:] {
+				t.rows[((c/8)*r.k+pos)*256+v] |= uint64(r.f.Mul(byte(v), sym)) << (8 * (c % 8))
+			}
+		}
+	}
+	return t
 }
 
 // N returns the codeword length in symbols.
@@ -100,15 +160,40 @@ func (r *RS) Encode(data []byte) []byte {
 	return out
 }
 
-// EncodeInto writes the n-symbol codeword for data into out (len n), using
-// the codec's own division scratch — no allocation.
+// EncodeInto writes the n-symbol codeword for data into out (len n) with
+// no allocation: the check symbols are the XOR of the shared table's rows
+// for each (position, data symbol).
 func (r *RS) EncodeInto(out, data []byte) {
+	r.checkEncodeArgs(out, data)
+	plane := r.k * 256
+	check := out[r.k:]
+	for w := 0; w < r.enc.words; w++ {
+		rows := r.enc.rows[w*plane:][:plane]
+		var acc uint64
+		for pos, d := range data {
+			row := rows[pos*256:][:256]
+			acc ^= row[d]
+		}
+		for c := 8 * w; c < len(check) && c < 8*w+8; c++ {
+			check[c] = byte(acc >> (8 * (c % 8)))
+		}
+	}
+	copy(out, data)
+}
+
+func (r *RS) checkEncodeArgs(out, data []byte) {
 	if len(data) != r.k {
 		panic(fmt.Sprintf("ecc: Encode wants %d data symbols, got %d", r.k, len(data)))
 	}
 	if len(out) != r.n {
 		panic(fmt.Sprintf("ecc: EncodeInto wants a %d-symbol buffer, got %d", r.n, len(out)))
 	}
+}
+
+// encodeByDivision is EncodeInto by polynomial long division, the
+// definition the encode table is built from (and tested against).
+func (r *RS) encodeByDivision(out, data []byte) {
+	r.checkEncodeArgs(out, data)
 	nc := r.n - r.k
 	// Polynomial long division of data * x^(n-k) by gen.
 	rem := r.rem[:nc]

@@ -2,7 +2,9 @@ package ecc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +148,95 @@ func TestRSEncodeLengthValidation(t *testing.T) {
 		}
 	}()
 	rs.Encode(make([]byte, 10))
+}
+
+// tableGeometries are the (n, k) shapes the table encoder is checked on:
+// the three deployed ones, an odd check count, and a check count above 8
+// (rows span several words).
+var tableGeometries = [][2]int{{18, 16}, {36, 32}, {72, 64}, {20, 17}, {60, 40}}
+
+// TestRSTableEncodeMatchesDivision: the table encoder must give the long
+// division's codeword bit for bit on random, all-zero, all-0xFF and every
+// single-nonzero payload.
+func TestRSTableEncodeMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, g := range tableGeometries {
+		r := NewRS(g[0], g[1], 0)
+		got := make([]byte, r.N())
+		want := make([]byte, r.N())
+		check := func(data []byte, what string) {
+			t.Helper()
+			r.EncodeInto(got, data)
+			r.encodeByDivision(want, data)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("RS(%d,%d) %s payload %x: table %x, division %x", g[0], g[1], what, data, got, want)
+			}
+		}
+		for trial := 0; trial < 200; trial++ {
+			check(randomPayload(rng, r.K()), "random")
+		}
+		check(make([]byte, r.K()), "all-zero")
+		check(bytes.Repeat([]byte{0xFF}, r.K()), "all-0xFF")
+		data := make([]byte, r.K())
+		for pos := range data {
+			for v := 1; v < 256; v++ {
+				data[pos] = byte(v)
+				check(data, "single-nonzero")
+			}
+			data[pos] = 0
+		}
+	}
+}
+
+// TestRSEncodeTableShared: codecs of one geometry share one table (retained
+// heap must not grow per codec or per injector); other geometries do not.
+func TestRSEncodeTableShared(t *testing.T) {
+	a, b := NewRS(18, 16, 1), NewRS(18, 16, 0)
+	if a.enc != b.enc {
+		t.Fatal("two RS(18,16) codecs built separate encode tables")
+	}
+	if NewRS(36, 32, 1).enc == a.enc {
+		t.Fatal("RS(36,32) shares RS(18,16)'s encode table")
+	}
+	if NewChipkill(SchemeSSC).rs.enc != NewChipkill(SchemeSSCVariant).rs.enc {
+		t.Fatal("SSC and SSC-variant codecs built separate encode tables")
+	}
+}
+
+// TestRSEncodeConcurrent builds codecs and encodes from many goroutines at
+// once; under -race this pins the shared tables as safely built once and
+// read-only afterwards. RS(26,21) is built by no other test, so the
+// goroutines also race on a first build.
+func TestRSEncodeConcurrent(t *testing.T) {
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(53 + w)))
+			for _, g := range append([][2]int{{26, 21}}, tableGeometries...) {
+				r := NewRS(g[0], g[1], 0)
+				got := make([]byte, r.N())
+				want := make([]byte, r.N())
+				for trial := 0; trial < 50; trial++ {
+					data := randomPayload(rng, r.K())
+					r.EncodeInto(got, data)
+					r.encodeByDivision(want, data)
+					if !bytes.Equal(got, want) {
+						errs <- fmt.Errorf("worker %d RS(%d,%d): table and division disagree", w, g[0], g[1])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }
 
 func BenchmarkRSEncodeSSC(b *testing.B) {

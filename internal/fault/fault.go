@@ -241,9 +241,11 @@ func (in *Injector) DataBurst(cmd dram.Command, at dram.Cycle) dram.BurstVerdict
 		if rankApplies(f.Rank, cmd) {
 			chip := ((f.Chip % in.chips) + in.chips) % in.chips
 			dq := ((f.DQ % 4) + 4) % 4
-			for beat := 0; beat < 8; beat++ {
-				b.SetBit(chip, beat, dq, f.Value)
+			var lane byte // the stuck value on all 8 beats
+			if f.Value&1 != 0 {
+				lane = 0xFF
 			}
+			b.SetLane(chip, dq, lane)
 			touched = true
 		}
 	}

@@ -180,3 +180,48 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("active config reports inactive")
 	}
 }
+
+// TestInjectorDataBurstZeroAllocs pins a warm injector's per-burst path at
+// zero allocations: transient draws at the samd-mix rate plus a dead chip,
+// so every burst also runs the correcting decode.
+func TestInjectorDataBurstZeroAllocs(t *testing.T) {
+	for _, scheme := range []ecc.Scheme{ecc.SchemeSSC, ecc.SchemeSSCVariant, ecc.SchemeSSCDSD} {
+		in := New(Config{Seed: 13, Rate: 1e-3, DeadChips: []ChipFault{{Rank: -1, Chip: 6}}}, scheme, true)
+		i := 0
+		burst := func() {
+			in.DataBurst(rdCmd(0, i), dram.Cycle(i))
+			i++
+		}
+		burst()
+		if n := testing.AllocsPerRun(500, burst); n != 0 {
+			t.Errorf("%v: DataBurst allocates %.1f/op, want 0", scheme, n)
+		}
+		if in.Counters.CorrectedBursts == 0 {
+			t.Fatalf("%v: the dead chip was never corrected: %+v", scheme, in.Counters)
+		}
+	}
+}
+
+// BenchmarkInjectorDataBurst times one adjudicated burst per scheme at the
+// transient rate samd-mix's faulted jobs run (1e-3), plus the no-ECC path.
+func BenchmarkInjectorDataBurst(b *testing.B) {
+	cases := []struct {
+		name   string
+		scheme ecc.Scheme
+		hasECC bool
+	}{
+		{"SSC", ecc.SchemeSSC, true},
+		{"SSC-variant", ecc.SchemeSSCVariant, true},
+		{"SSC-DSD", ecc.SchemeSSCDSD, true},
+		{"no-ECC", ecc.SchemeSSC, false},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			in := New(Config{Seed: 17, Rate: 1e-3}, c.scheme, c.hasECC)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in.DataBurst(rdCmd(0, i), dram.Cycle(i))
+			}
+		})
+	}
+}

@@ -2,7 +2,8 @@
 # alloccheck.sh — the allocation-regression gate. Two layers:
 #
 #  1. The exact-zero pins: every *ZeroAllocs* test (internal/ecc codec
-#     Into paths, internal/mc fault-enabled and traced service loops,
+#     Into paths, internal/fault's warm per-burst injector path,
+#     internal/mc fault-enabled and traced service loops,
 #     internal/runner's nil-observer sweep fast path, internal/cache's
 #     hierarchy miss and sibling-fill paths) asserts flat
 #     steady-state allocation via testing.AllocsPerRun.
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 BUDGET="${1:-scripts/alloc_budget.txt}"
 
 echo "== zero-allocation pins =="
-go test -run 'ZeroAllocs' -count=1 ./internal/ecc ./internal/mc ./internal/runner ./internal/cache
+go test -run 'ZeroAllocs' -count=1 ./internal/ecc ./internal/fault ./internal/mc ./internal/runner ./internal/cache
 
 echo "== allocation budgets ($BUDGET) =="
 fail=0

@@ -5,8 +5,8 @@
 # count, ns/op, B/op, allocs/op, and any custom metrics reported via
 # b.ReportMetric (e.g. sim-requests, speedup).
 #
-# The microbenchmarks (internal/mc, internal/ecc, internal/etrace,
-# internal/design, internal/cache) run at a real benchtime
+# The microbenchmarks (internal/mc, internal/ecc, internal/fault,
+# internal/etrace, internal/design, internal/cache) run at a real benchtime
 # for stable ns/op; the root figure/sweep suite runs one iteration per
 # benchmark because each iteration is a full simulation.
 #
@@ -21,7 +21,7 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench . -benchmem -benchtime "${MICRO_BENCHTIME:-1s}" \
-    ./internal/mc ./internal/ecc ./internal/etrace ./internal/design ./internal/cache | tee "$RAW"
+    ./internal/mc ./internal/ecc ./internal/fault ./internal/etrace ./internal/design ./internal/cache | tee "$RAW"
 go test -run '^$' -bench . -benchmem -benchtime 1x . | tee -a "$RAW"
 # The serial-vs-parallel contrast and the serial-vs-sharded engine
 # contrast are ratios of two wall-clock times, and at one iteration each
