@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check test-runner bench bench-parallel profile
+.PHONY: build test race vet fmt-check check test-runner bench bench-parallel profile
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails listing every tracked Go file gofmt would rewrite.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # race runs the whole tree under the race detector.
 race:

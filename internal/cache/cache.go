@@ -1,15 +1,21 @@
 // Package cache implements the sector-cache hierarchy of Section 5.1: set
-// associative write-back caches whose lines are divided into 16B sectors
-// with independent valid and dirty bits, so SAM's strided data (one chipkill
-// codeword's worth per line) can live in the hierarchy without dragging
-// whole cachelines around.
+// associative write-back caches whose lines are divided into up to 8
+// sectors with independent valid and dirty bits, so SAM's strided data (one
+// chipkill codeword's worth per line) can live in the hierarchy without
+// dragging whole cachelines around.
 //
 // The caches are timing/traffic models: they track tags and sector state,
 // not payload bytes (the functional data path lives in dram.SparseMem and is
-// validated separately).
+// validated separately). Each way is one packed word (sector maps, strided
+// flag and tag), and each set keeps its exact LRU order as one word of 4-bit
+// way indices, so a level is 8 B per line plus 8 B per set, at most 16 ways
+// and 8 sectors, and tags of at most 47 bits.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config sizes one cache level.
 type Config struct {
@@ -30,8 +36,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: size %d not divisible by line*ways", c.SizeBytes)
 	case c.LineBytes%c.Sectors != 0:
 		return fmt.Errorf("cache: %d sectors do not divide %dB line", c.Sectors, c.LineBytes)
-	case c.Sectors > 64:
-		return fmt.Errorf("cache: sector bitmap limited to 64, got %d", c.Sectors)
+	case c.Sectors > maxSectors:
+		return fmt.Errorf("cache: sector bitmap limited to %d, got %d", maxSectors, c.Sectors)
+	case c.Ways > maxWays:
+		return fmt.Errorf("cache: recency order limited to %d ways, got %d", maxWays, c.Ways)
 	}
 	return nil
 }
@@ -48,30 +56,35 @@ type Stats struct {
 	StridedLineInserts uint64
 }
 
-type line struct {
-	tag      uint64
-	valid    uint64 // sector valid bitmap
-	dirty    uint64 // sector dirty bitmap
-	sectored bool   // filled by a strided access (affects writeback shape)
-	lru      uint64
-}
+// Way words. Each way is one uint64: valid sector bits 0–7, dirty sector
+// bits 8–15, the strided flag in bit 16 and the tag above. A zero word is an
+// invalid way; Fill never stores one, since it rejects an empty sector map.
+const (
+	maxSectors = 8
+	maxWays    = 16 // a set's recency order holds 16 4-bit way indices
+	dirtyShift = 8
+	sectorBits = 1<<maxSectors - 1
+	stridedBit = 1 << 16 // filled by a strided access (affects writeback shape)
+	tagShift   = 17
+	maxTagBits = 64 - tagShift
+	nibbles    = 0x1111111111111111
+)
 
-// Cache is one level. Sets are allocated lazily: the directory maps each
-// set index to its way array inside one flat, pointer-free backing slice,
-// carved out on the set's first Fill. Building (and flushing) a large,
-// mostly untouched level therefore costs the int32 directory only, not
-// SizeBytes/LineBytes lines of zeroed backing — and the GC never scans
-// per-set slice headers.
+// Cache is one level. Set s's ways are ways[s*Ways:(s+1)*Ways], and
+// order[s] lists them by recency as 4-bit way indices, least recently
+// touched in the low nibble. A level therefore costs 8 B per line plus 8 B
+// per set (and a bit per 64 sets for flushDirty), allocated once by New.
 type Cache struct {
 	cfg      Config
-	setOff   []int32 // per set: 1 + backing offset of its ways; 0 = untouched
-	backing  []line  // way arrays of touched sets, in first-touch order
+	ways     []uint64
+	order    []uint64
+	dirtyAt  []uint64 // bit g: sets 64g..64g+63 may hold a dirty way
 	setMask  uint64
 	lineBits uint
 	setShift uint
+	mruShift uint // bit offset of the most recently used nibble
 	secBytes int
 	hitLat   int
-	clock    uint64
 	Stats    Stats
 }
 
@@ -92,53 +105,69 @@ func New(cfg Config) *Cache {
 	for 1<<setShift < nSets {
 		setShift++
 	}
+	// Any permutation is a valid starting order: a way's rank only matters
+	// once every way of its set is valid, and by then each has been touched.
+	var identity uint64
+	for w := 0; w < cfg.Ways; w++ {
+		identity |= uint64(w) << (4 * w)
+	}
+	order := make([]uint64, nSets)
+	for i := range order {
+		order[i] = identity
+	}
 	return &Cache{
 		cfg:      cfg,
-		setOff:   make([]int32, nSets),
+		ways:     make([]uint64, nSets*cfg.Ways),
+		order:    order,
+		dirtyAt:  make([]uint64, (nSets+64*64-1)/(64*64)),
 		setMask:  uint64(nSets - 1),
 		lineBits: lineBits,
 		setShift: setShift,
+		mruShift: 4 * uint(cfg.Ways-1),
 		secBytes: cfg.LineBytes / cfg.Sectors,
 		hitLat:   cfg.HitLatency,
 	}
 }
 
-// peek returns set idx's way array, or nil while the set is untouched.
-func (c *Cache) peek(idx int) []line {
-	off := c.setOff[idx]
-	if off == 0 {
-		return nil
-	}
-	b := int(off - 1)
-	return c.backing[b : b+c.cfg.Ways]
+// set returns set idx's ways.
+func (c *Cache) set(idx int) []uint64 {
+	base := idx * c.cfg.Ways
+	return c.ways[base : base+c.cfg.Ways]
 }
 
-// set returns set idx's way array, carving it from the backing on first use.
-func (c *Cache) set(idx int) []line {
-	if s := c.peek(idx); s != nil {
-		return s
-	}
-	w := c.cfg.Ways
-	base := len(c.backing)
-	if cap(c.backing)-base < w {
-		newCap := 4 * cap(c.backing)
-		if min := base + w; newCap < min {
-			newCap = min
+// touch moves way w of set idx to the most recently used end of its order.
+func (c *Cache) touch(idx, w int) {
+	o := c.order[idx]
+	// x has a zero nibble exactly where o holds w; t's lowest set bit marks
+	// the first such nibble (borrows only create false hits above it).
+	x := o ^ uint64(w)*nibbles
+	t := (x - nibbles) &^ x & (nibbles << 3)
+	older := uint64(1)<<(bits.TrailingZeros64(t)&^3) - 1
+	c.order[idx] = o&older | o>>4&^older | uint64(w)<<c.mruShift
+}
+
+// noteDirty records that set idx may hold a dirty way.
+func (c *Cache) noteDirty(idx int) { c.dirtyAt[idx>>12] |= 1 << (idx >> 6 & 63) }
+
+// flushDirty appends a writeback for every dirty way to ops and cleans it.
+// It walks sets in index order, so the op sequence — which feeds the memory
+// system — depends only on the cache contents, and skips each 64-set group
+// no write has reached since the last flush.
+func (c *Cache) flushDirty(ops []MemOp) []MemOp {
+	for gw, groups := range c.dirtyAt {
+		c.dirtyAt[gw] = 0
+		for ; groups != 0; groups &= groups - 1 {
+			first := (gw<<6 | bits.TrailingZeros64(groups)) << 6 * c.cfg.Ways
+			ways := c.ways[first:min(first+64*c.cfg.Ways, len(c.ways))]
+			for i, w := range ways {
+				if dirty := w >> dirtyShift & sectorBits; dirty != 0 {
+					ops = append(ops, MemOp{Addr: c.wayAddr((first+i)/c.cfg.Ways, w), IsWrite: true, Sectors: dirty, Sectored: w&stridedBit != 0})
+					ways[i] = w &^ (sectorBits << dirtyShift)
+				}
+			}
 		}
-		if newCap < 64*w {
-			newCap = 64 * w
-		}
-		nb := make([]line, base, newCap)
-		copy(nb, c.backing)
-		c.backing = nb
 	}
-	c.backing = c.backing[:base+w]
-	s := c.backing[base : base+w]
-	// InvalidateAll retracts len but keeps cap, so re-exposed lines may hold
-	// stale state.
-	clear(s)
-	c.setOff[idx] = int32(base) + 1
-	return s
+	return ops
 }
 
 // Config returns the level configuration.
@@ -147,11 +176,18 @@ func (c *Cache) Config() Config { return c.cfg }
 // SectorBytes returns the sector granularity.
 func (c *Cache) SectorBytes() int { return c.secBytes }
 
-func (c *Cache) setBits() uint { return c.setShift }
-
 func (c *Cache) locate(addr uint64) (setIdx int, tag uint64) {
 	lineAddr := addr >> c.lineBits
-	return int(lineAddr & c.setMask), lineAddr >> c.setBits()
+	tag = lineAddr >> c.setShift
+	if tag>>maxTagBits != 0 {
+		panic("cache: tag wider than 47 bits")
+	}
+	return int(lineAddr & c.setMask), tag
+}
+
+// wayAddr rebuilds the line address of way word w in set idx.
+func (c *Cache) wayAddr(idx int, w uint64) uint64 {
+	return (w>>tagShift<<c.setShift | uint64(idx)) << c.lineBits
 }
 
 func (c *Cache) sectorOf(addr uint64) int {
@@ -163,11 +199,7 @@ func (c *Cache) sectorOf(addr uint64) int {
 func (c *Cache) sectorMask(addr uint64, size int) uint64 {
 	first := c.sectorOf(addr)
 	last := c.sectorOf(addr + uint64(size) - 1)
-	var m uint64
-	for s := first; s <= last; s++ {
-		m |= 1 << s
-	}
-	return m
+	return 1<<(last+1) - 1<<first
 }
 
 // Outcome classifies one access at this level.
@@ -196,23 +228,23 @@ func (c *Cache) Access(addr uint64, size int, write bool) Outcome {
 	}
 	setIdx, tag := c.locate(addr)
 	mask := c.sectorMask(addr, size)
-	c.clock++
-	set := c.peek(setIdx)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid != 0 && ln.tag == tag {
-			if ln.valid&mask == mask {
-				ln.lru = c.clock
-				if write {
-					ln.dirty |= mask
-				}
-				c.Stats.Hits++
-				return Hit
-			}
+	set := c.set(setIdx)
+	for i, w := range set {
+		if w == 0 || w>>tagShift != tag {
+			continue
+		}
+		if w&mask != mask {
 			c.Stats.SectorMisses++
 			c.Stats.Misses++
 			return SectorMiss
 		}
+		if write {
+			set[i] = w | mask<<dirtyShift
+			c.noteDirty(setIdx)
+		}
+		c.touch(setIdx, i)
+		c.Stats.Hits++
+		return Hit
 	}
 	c.Stats.Misses++
 	return LineMiss
@@ -221,55 +253,52 @@ func (c *Cache) Access(addr uint64, size int, write bool) Outcome {
 // Fill installs (or widens) the line containing addr with the given sector
 // bitmap, returning an eviction if a victim was displaced. markDirty sets
 // the filled sectors dirty (write-allocate); sectored tags the line as
-// strided-filled.
+// strided-filled. It panics on an empty bitmap or one naming sectors the
+// line does not have.
 func (c *Cache) Fill(addr uint64, sectors uint64, markDirty, sectored bool) (ev Eviction, evicted bool) {
+	if sectors == 0 || sectors&^c.FullSectorMask() != 0 {
+		panic(fmt.Sprintf("cache: %s fill of sectors %#x in a %d-sector line", c.cfg.Name, sectors, c.cfg.Sectors))
+	}
 	setIdx, tag := c.locate(addr)
-	c.clock++
+	w := tag<<tagShift | sectors
+	if markDirty {
+		w |= sectors << dirtyShift
+		c.noteDirty(setIdx)
+	}
+	if sectored {
+		w |= stridedBit
+	}
 	set := c.set(setIdx)
 	// One pass: widen an existing line if present, otherwise remember the
-	// victim (first invalid way, else LRU).
-	victim, invalid := 0, -1
-	for i := range set {
-		ln := &set[i]
-		if ln.valid == 0 {
-			if invalid < 0 {
-				invalid = i
+	// first invalid way as the victim.
+	victim := -1
+	for i, old := range set {
+		if old == 0 {
+			if victim < 0 {
+				victim = i
 			}
 			continue
 		}
-		if ln.tag == tag {
-			ln.valid |= sectors
-			if markDirty {
-				ln.dirty |= sectors
-			}
-			ln.sectored = ln.sectored || sectored
-			ln.lru = c.clock
+		if old>>tagShift == tag {
+			// Same tag, so OR-ing widens valid, dirty and strided at once.
+			set[i] = old | w
+			c.touch(setIdx, i)
 			return Eviction{}, false
 		}
-		if ln.lru < set[victim].lru {
-			victim = i
-		}
 	}
-	if invalid >= 0 {
-		victim = invalid
-	}
-	ln := &set[victim]
-	if ln.valid != 0 {
+	if victim < 0 {
+		victim = int(c.order[setIdx] & 0xf)
+		old := set[victim]
+		dirty := old >> dirtyShift & sectorBits
 		c.Stats.Evictions++
-		if ln.dirty != 0 {
+		if dirty != 0 {
 			c.Stats.DirtyEvictions++
 		}
-		ev = Eviction{
-			LineAddr: ((ln.tag<<c.setBits() | uint64(setIdx)) << c.lineBits),
-			Dirty:    ln.dirty,
-			Sectored: ln.sectored,
-		}
-		evicted = ln.dirty != 0
+		ev = Eviction{LineAddr: c.wayAddr(setIdx, old), Dirty: dirty, Sectored: old&stridedBit != 0}
+		evicted = dirty != 0
 	}
-	*ln = line{tag: tag, valid: sectors, lru: c.clock, sectored: sectored}
-	if markDirty {
-		ln.dirty = sectors
-	}
+	set[victim] = w
+	c.touch(setIdx, victim)
 	c.Stats.FillsFromBelow++
 	if sectored {
 		c.Stats.StridedLineInserts++
@@ -282,22 +311,17 @@ func (c *Cache) Fill(addr uint64, sectors uint64, markDirty, sectored bool) (ev 
 func (c *Cache) Contains(addr uint64, size int) bool {
 	setIdx, tag := c.locate(addr)
 	mask := c.sectorMask(addr, size)
-	set := c.peek(setIdx)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid != 0 && ln.tag == tag {
-			return ln.valid&mask == mask
+	for _, w := range c.set(setIdx) {
+		if w != 0 && w>>tagShift == tag {
+			return w&mask == mask
 		}
 	}
 	return false
 }
 
-// InvalidateAll clears the cache (used between experiment phases): every
-// set returns to the untouched state and the backing is retracted for
-// reuse.
+// InvalidateAll clears the cache (used between experiment phases).
 func (c *Cache) InvalidateAll() {
-	clear(c.setOff)
-	c.backing = c.backing[:0]
+	clear(c.ways)
 }
 
 // FullSectorMask returns the bitmap covering every sector of a line.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -18,6 +19,11 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 4096, LineBytes: 64, Ways: 3, Sectors: 1},
 		{SizeBytes: 4096, LineBytes: 64, Ways: 4, Sectors: 7},
 		{SizeBytes: 4096, LineBytes: 64, Ways: 4, Sectors: 128},
+		// The packed way word holds 8 sector bits and a set's recency
+		// order 16 way indices; each geometry below is otherwise valid.
+		{SizeBytes: 72 * 4 * 16, LineBytes: 72, Ways: 4, Sectors: 9},
+		{SizeBytes: 4096, LineBytes: 64, Ways: 4, Sectors: 64},
+		{SizeBytes: 64 * 17 * 4, LineBytes: 64, Ways: 17, Sectors: 1},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -169,5 +175,54 @@ func TestInvalidateAll(t *testing.T) {
 	c.InvalidateAll()
 	if c.Contains(0x3000, 8) {
 		t.Fatal("line survived invalidate")
+	}
+}
+
+func TestWideTagPanics(t *testing.T) {
+	c := smallCache(1) // 16 sets of 64 B lines: the tag starts at bit 10
+	c.Fill(1<<57-1, 1, false, false)
+	if !c.Contains(1<<57-1, 1) {
+		t.Fatal("47-bit tag not resident after fill")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("48-bit tag accepted")
+		}
+	}()
+	c.Access(1<<57, 8, false)
+}
+
+func TestFillBadSectorsPanics(t *testing.T) {
+	for _, sectors := range []uint64{0, 0b1_0000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("fill of sectors %#b in a 4-sector line accepted", sectors)
+				}
+			}()
+			smallCache(4).Fill(0x1000, sectors, false, true)
+		}()
+	}
+}
+
+// TestDefaultLLCFootprint pins the packed storage: building the default
+// 8 MiB LLC and filling every one of its lines allocates at most 9 B per
+// line (its way word and an eighth of its set's order word), plus 512 B for
+// the level's header and its 32 B of dirty-group bits.
+func TestDefaultLLCFootprint(t *testing.T) {
+	const size, lineBytes = 8 << 20, 64
+	const lines = size / lineBytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(Config{Name: "LLC", SizeBytes: size, LineBytes: lineBytes, Ways: 8, Sectors: 8, HitLatency: 38})
+	for l := uint64(0); l < lines; l++ {
+		c.Fill(l*lineBytes, c.FullSectorMask(), l%2 == 0, l%3 == 0)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(9*lines+512); got > limit {
+		t.Fatalf("default LLC allocated %d B for %d lines (%.2f B/line), want <= %d", got, lines, float64(got)/lines, limit)
+	}
+	if c.Stats.Evictions != 0 {
+		t.Fatalf("%d evictions filling an empty level exactly once", c.Stats.Evictions)
 	}
 }

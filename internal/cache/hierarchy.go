@@ -22,8 +22,8 @@ type AccessResult struct {
 	// is added by the simulator from the controller's completion).
 	Latency int
 	// MemOps lists line fills and writebacks that must go to memory. It is
-	// the hierarchy's op scratch: valid only until the next Access or
-	// FillLine on the same Hierarchy.
+	// the hierarchy's op scratch: valid only until the next Access,
+	// FillLine or FlushDirty on the same Hierarchy.
 	MemOps []MemOp
 }
 
@@ -37,8 +37,8 @@ type Hierarchy struct {
 	// hierarchy and cleared per call instead of reallocated — the access
 	// path is single-threaded per engine.
 	flushSeen map[uint64]bool
-	// ops is the memory-op scratch Access and FillLine collect into and
-	// hand out, so a miss allocates nothing once the slice has grown.
+	// ops is the memory-op scratch Access, FillLine and FlushDirty collect
+	// into and hand out, so they allocate nothing once the slice has grown.
 	ops []MemOp
 }
 
@@ -129,7 +129,8 @@ func (h *Hierarchy) fillLevel(i int, addr uint64, sectored, write bool, size int
 // demand access — the sibling fills of a strided fetch, which brings the
 // same-offset sector of Reach lines in one burst. It returns any memory
 // writebacks the allocations displaced, in the hierarchy's op scratch:
-// valid only until the next Access or FillLine, like AccessResult.MemOps.
+// valid only until the next Access, FillLine or FlushDirty, like
+// AccessResult.MemOps.
 func (h *Hierarchy) FillLine(addr uint64, sectors uint64, sectored bool) []MemOp {
 	h.ops = h.ops[:0]
 	for i := len(h.levels) - 1; i >= 0; i-- {
@@ -139,30 +140,14 @@ func (h *Hierarchy) FillLine(addr uint64, sectors uint64, sectored bool) []MemOp
 }
 
 func (h *Hierarchy) fillLevelSectors(i int, addr uint64, sectors uint64, write, sectored bool) {
-	lvl := h.levels[i]
-	ev, dirty := lvl.Fill(addr, sectors, write, sectored)
-	if !dirty {
-		return
-	}
-	lvl.Stats.WritebacksToBelow++
-	if i == len(h.levels)-1 {
-		h.ops = append(h.ops, MemOp{Addr: ev.LineAddr, IsWrite: true, Sectors: ev.Dirty, Sectored: ev.Sectored})
-		return
-	}
-	// Push the dirty line into the next level down.
-	below := h.levels[i+1]
-	ev2, dirty2 := below.Fill(ev.LineAddr, ev.Dirty, true, ev.Sectored)
-	if dirty2 {
-		below.Stats.WritebacksToBelow++
-		if i+1 == len(h.levels)-1 {
-			h.ops = append(h.ops, MemOp{Addr: ev2.LineAddr, IsWrite: true, Sectors: ev2.Dirty, Sectored: ev2.Sectored})
-		} else {
-			// Deeper cascades are rare with growing level sizes; recurse.
-			h.pushDown(i+2, ev2)
-		}
+	if ev, dirty := h.levels[i].Fill(addr, sectors, write, sectored); dirty {
+		h.levels[i].Stats.WritebacksToBelow++
+		h.pushDown(i+1, ev)
 	}
 }
 
+// pushDown writes a dirty victim into level i, cascading the dirty victims
+// that displaces; below the last level it becomes a memory writeback.
 func (h *Hierarchy) pushDown(i int, ev Eviction) {
 	if i >= len(h.levels) {
 		h.ops = append(h.ops, MemOp{Addr: ev.LineAddr, IsWrite: true, Sectors: ev.Dirty, Sectored: ev.Sectored})
@@ -177,26 +162,14 @@ func (h *Hierarchy) pushDown(i int, ev Eviction) {
 
 // FlushDirty writes every dirty line in every level back to memory,
 // returning the writeback ops (used at end of a workload phase so write
-// traffic is fully accounted).
+// traffic is fully accounted). The ops are the hierarchy's op scratch:
+// valid only until the next Access, FillLine or FlushDirty.
 func (h *Hierarchy) FlushDirty() []MemOp {
-	var ops []MemOp
+	ops := h.ops[:0]
 	for li := len(h.levels) - 1; li >= 0; li-- {
-		lvl := h.levels[li]
-		// Walk the directory in set-index order (not backing/touch order)
-		// so the writeback op sequence — which feeds the memory system —
-		// is independent of the sets' first-touch history.
-		for s := range lvl.setOff {
-			set := lvl.peek(s)
-			for w := range set {
-				ln := &set[w]
-				if ln.valid != 0 && ln.dirty != 0 {
-					addr := (ln.tag<<lvl.setBits() | uint64(s)) << lvl.lineBits
-					ops = append(ops, MemOp{Addr: addr, IsWrite: true, Sectors: ln.dirty, Sectored: ln.sectored})
-					ln.dirty = 0
-				}
-			}
-		}
+		ops = h.levels[li].flushDirty(ops)
 	}
+	h.ops = ops
 	// Deduplicate lines dirty in several levels (upper level is newest, but
 	// tag-only modeling makes them equivalent; keep the first occurrence).
 	if h.flushSeen == nil {

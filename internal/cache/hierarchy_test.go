@@ -188,8 +188,8 @@ func TestHierarchyStridedAndRegularInterleave(t *testing.T) {
 }
 
 // TestHierarchyMissZeroAllocs pins the op scratch: on a warm hierarchy a
-// demand miss that displaces a dirty line, and a strided sibling FillLine
-// that does the same, allocate nothing.
+// demand miss that displaces a dirty line, a strided sibling FillLine that
+// does the same, and a FlushDirty of dirty lines allocate nothing.
 func TestHierarchyMissZeroAllocs(t *testing.T) {
 	// Every level maps addresses step apart to one set, and 16 lines cycle
 	// through the 8-way LLC under LRU, so each access misses everywhere.
@@ -238,6 +238,24 @@ func TestHierarchyMissZeroAllocs(t *testing.T) {
 		}
 		if writebacks == 0 {
 			t.Fatal("FillLine displaced no dirty line; the test lost its premise")
+		}
+	})
+	t.Run("FlushDirty", func(t *testing.T) {
+		h := testHierarchy(4)
+		flushed := 0
+		flush := func() {
+			for i := uint64(0); i < lines; i++ {
+				h.Access(i*64, 8, true, i%2 == 0)
+			}
+			flushed += len(h.FlushDirty())
+		}
+		flush()
+		flushed = 0
+		if a := testing.AllocsPerRun(200, flush); a != 0 {
+			t.Fatalf("warm FlushDirty: %v allocs/op, want 0", a)
+		}
+		if flushed == 0 {
+			t.Fatal("FlushDirty wrote nothing back; the test lost its premise")
 		}
 	})
 }

@@ -60,11 +60,10 @@ func NewMDA(sizeBytes, lineBytes, ways, sectorBytes, reach, hitLatency int) *MDA
 func (m *MDA) colLineAddr(addr uint64) uint64 {
 	group := addr / (uint64(m.lineBytes) * uint64(m.reach))
 	sector := (addr % uint64(m.lineBytes)) / uint64(m.sectorBytes)
-	// Column lines live in their own tag space; fold group and sector into
-	// a line-aligned address with a high marker bit to avoid aliasing the
-	// row view's tags (both caches are separate anyway; the marker keeps
-	// diagnostics unambiguous).
-	return (1<<62 | group*uint64(m.lineBytes)*16 + sector*uint64(m.lineBytes))
+	// Column lines live in their own cache; fold group and sector into a
+	// line-aligned address with a marker bit (bit 40, inside the 47-bit tag
+	// limit) that keeps diagnostics unambiguous.
+	return (1<<40 | group*uint64(m.lineBytes)*16 + sector*uint64(m.lineBytes))
 }
 
 // AccessStrided probes the column view for a strided access; on a miss the
@@ -144,11 +143,10 @@ func (m *MDA) coherenceInvalidateRow(addr uint64) {
 // as invalidate-on-write; a production design would forward dirty data).
 func (c *Cache) invalidateLine(addr uint64) {
 	setIdx, tag := c.locate(addr)
-	set := c.peek(setIdx)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid != 0 && ln.tag == tag {
-			*ln = line{}
+	set := c.set(setIdx)
+	for i, w := range set {
+		if w != 0 && w>>tagShift == tag {
+			set[i] = 0
 			return
 		}
 	}

@@ -45,7 +45,7 @@ func TestPerChannelRingsIndependent(t *testing.T) {
 	noisy, quiet := b.Channel(0), b.Channel(1)
 	quiet.ReqScheduled(1, mc.Request{ID: 100}, 0)
 	for i := 0; i < 10; i++ {
-		noisy.ReqScheduled(dram.Cycle(10 + i), mc.Request{ID: uint64(i)}, 0)
+		noisy.ReqScheduled(dram.Cycle(10+i), mc.Request{ID: uint64(i)}, 0)
 	}
 	if b.Dropped() != 6 {
 		t.Fatalf("Dropped=%d, want 6 (noisy channel only)", b.Dropped())
