@@ -248,8 +248,7 @@ func main() {
 	ta := flag.Int("ta", 4096, "Ta records")
 	tb := flag.Int("tb", 32768, "Tb records")
 	statsJSON := flag.String("stats-json", "", "write the session's merged run metrics as JSON on exit ('-' for stdout)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
+	startProf := prof.RegisterFlags(flag.CommandLine)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -263,7 +262,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := startProf()
 	if err != nil {
 		fail(err)
 	}

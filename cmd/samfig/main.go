@@ -69,8 +69,7 @@ func main() {
 	traceDesign := flag.String("trace-design", "SAM-en", "design to trace against the baseline")
 	traceWindow := flag.Int64("trace-window", 2048, "sampling window for the trace time series (bus cycles)")
 	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity per design; oldest events drop beyond this")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
+	startProf := prof.RegisterFlags(flag.CommandLine)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -99,7 +98,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := startProf()
 	if err != nil {
 		fail(err)
 	}

@@ -64,8 +64,7 @@ func main() {
 	statsJSON := flag.String("stats-json", "", "write the full run report as JSON to this file ('-' for stdout)")
 	cacheDir := flag.String("cache-dir", "", "persist memoized run results in this directory (warm re-runs skip simulation)")
 	noCache := flag.Bool("no-cache", false, "disable run memoization entirely (overrides -cache-dir)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
+	startProf := prof.RegisterFlags(flag.CommandLine)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -82,7 +81,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := startProf()
 	if err != nil {
 		fail(err)
 	}

@@ -39,8 +39,7 @@ func main() {
 	traceCSV := flag.String("trace-csv", "", "write the windowed time-series samples as CSV to this file")
 	traceWindow := flag.Int64("trace-window", 2048, "sampling window for the trace time series (bus cycles)")
 	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity; oldest events drop beyond this")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
+	startProf := prof.RegisterFlags(flag.CommandLine)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -64,7 +63,7 @@ func main() {
 		}
 	}()
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := startProf()
 	if err != nil {
 		fail(err)
 	}

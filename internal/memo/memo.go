@@ -45,8 +45,9 @@ type Config[V any] struct {
 	// directory is created on first write.
 	Dir string
 	// Encode/Decode serialize values for the disk tier and for byte
-	// accounting (memo.bytes). Encode is required when Dir is set; with
-	// no encoder the cache is memory-only and memo.bytes stays 0.
+	// accounting (memo.bytes). Both are required when Dir is set, and
+	// Decode is called only then. Without Dir the encoding only sizes
+	// entries; with no encoder memo.bytes stays 0.
 	Encode func(V) ([]byte, error)
 	Decode func([]byte) (V, error)
 }
@@ -187,17 +188,10 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 		return v, Hit, nil
 	}
 	res, shared, err := c.flight.Do(key, func() (flightRes[V], error) {
-		// Re-check memory: a previous leader may have finished between
-		// our lookup miss and winning the flight.
-		if v, ok := c.lookup(key); ok {
-			return flightRes[V]{v, Hit}, nil
-		}
-		if v, enc, ok := c.diskLoad(key); ok {
-			c.insert(key, v, enc, false)
-			c.mu.Lock()
-			c.diskHits.Inc()
-			c.mu.Unlock()
-			return flightRes[V]{v, DiskHit}, nil
+		// Re-check memory (a previous leader may have finished between
+		// our lookup miss and winning the flight), then disk.
+		if v, out, ok := c.Lookup(key); ok {
+			return flightRes[V]{v, out}, nil
 		}
 		v, err := compute()
 		if err != nil {
@@ -258,6 +252,10 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	var zero V
 	return zero, false
 }
+
+// MaxEntries is the in-process tier's resolved bound (Config.MaxEntries
+// with 0 replaced by DefaultMaxEntries; negative means unbounded).
+func (c *Cache[V]) MaxEntries() int { return c.cfg.MaxEntries }
 
 // Counters reads the instruments.
 func (c *Cache[V]) Counters() Counters {

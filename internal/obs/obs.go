@@ -24,7 +24,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -53,10 +52,6 @@ const (
 	gDomWorkers = "obs.domain.workers"
 )
 
-// jobLatencyBounds are the queue/run histogram bucket upper bounds in
-// nanoseconds: 1ms, 10ms, 100ms, 1s, 10s, 60s (+Inf implicit).
-var jobLatencyBounds = []uint64{1e6, 1e7, 1e8, 1e9, 1e10, 6e10}
-
 // Config configures a Tracker. The zero value is valid: no event log,
 // wall-clock time, default watchdog thresholds.
 type Config struct {
@@ -68,40 +63,32 @@ type Config struct {
 	Clock func() time.Time
 	// StallFactor scales the stall threshold: a running job is stalled
 	// once its duration exceeds StallFactor x the median completed run
-	// duration. <= 0 means 8.
+	// duration, read from the obs.job.run_ns buckets (so up to 2.5x the
+	// true median; see stats.DurationBounds). <= 0 means 8.
 	StallFactor float64
 	// StallFloor is the minimum stall threshold, so early jobs (no
 	// median yet) and fast sweeps don't false-positive. <= 0 means 30s.
 	StallFloor time.Duration
 }
 
-// jobState is one job's lifecycle position.
-type jobState uint8
-
-const (
-	jobQueued jobState = iota
-	jobRunning
-	jobDone
-	jobFailed
-)
-
-// job is one sweep item's span.
+// job is one sweep item's live state.
 type job struct {
-	enq, start, end time.Time
-	worker          int
-	state           jobState
-	memo            string
-	stalled         bool
+	start   time.Time
+	worker  int
+	running bool
+	memo    string
+	stalled bool
 }
 
 // sweepScope accumulates every Map/Grid call sharing one label (nested
-// sweeps reuse their figure's label); each call appends a block of jobs
-// at its base offset, so job indices in the event log are scope-wide.
+// sweeps reuse their figure's label). Each call takes the next block of
+// job indices, so indices in the event log are scope-wide. The scope
+// counts every job it ever saw but keeps per-job state only in its live
+// spans, so its size follows the live jobs, not the history.
 type sweepScope struct {
-	label  string
-	jobs   []job
-	done   int
-	failed int
+	label                                string
+	total, queued, running, done, failed int
+	live                                 map[*span]struct{} // spans with unfinished jobs
 }
 
 // Tracker is the run-lifecycle accountant. All methods are goroutine-safe
@@ -116,9 +103,9 @@ type Tracker struct {
 	start     time.Time
 	scopes    map[string]*sweepScope
 	order     []string
-	durs      []time.Duration // completed run durations (median source)
 	inflight  int
 	queuedN   int
+	stalled   int // running jobs a watchdog pass has flagged
 	maxWorker int // highest observed pool worker slot + 1
 	domBeats  map[int]time.Time
 	logErr    error
@@ -147,8 +134,8 @@ func NewTracker(cfg Config) *Tracker {
 	for _, c := range []string{cEnqueued, cStarted, cFinished, cFailed, cStalls, cPulses} {
 		t.reg.Counter(c)
 	}
-	t.reg.Histogram(hQueueNS, jobLatencyBounds...)
-	t.reg.Histogram(hRunNS, jobLatencyBounds...)
+	t.reg.Histogram(hQueueNS, stats.DurationBounds...)
+	t.reg.Histogram(hRunNS, stats.DurationBounds...)
 	for _, g := range []string{gInflight, gQueued, gStalled, gWorkersMax, gDomWorkers} {
 		t.reg.Gauge(g)
 	}
@@ -237,25 +224,32 @@ func (t *Tracker) sweepStarted(label string, total int) runner.SweepSpan {
 	now := t.cfg.Clock()
 	s := t.scopes[label]
 	if s == nil {
-		s = &sweepScope{label: label}
+		s = &sweepScope{label: label, live: make(map[*span]struct{})}
 		t.scopes[label] = s
 		t.order = append(t.order, label)
 	}
-	base := len(s.jobs)
-	for i := 0; i < total; i++ {
-		s.jobs = append(s.jobs, job{enq: now})
+	sp := &span{t: t, s: s, base: s.total, enq: now, jobs: make([]job, total), open: total}
+	if total > 0 {
+		s.live[sp] = struct{}{}
 	}
+	s.total += total
+	s.queued += total
 	t.queuedN += total
 	t.reg.Counter(cEnqueued).Add(uint64(total))
-	t.writeEvent(&Event{T: now.UnixNano(), Ev: "enqueue", Sweep: label, Jobs: total, Base: base})
-	return &span{t: t, s: s, base: base}
+	t.writeEvent(&Event{T: now.UnixNano(), Ev: "enqueue", Sweep: label, Jobs: total, Base: sp.base})
+	return sp
 }
 
-// span is one Map/Grid call's SweepSpan.
+// span is one Map/Grid call's SweepSpan: the per-job state of its block,
+// whose jobs were all enqueued at enq. It sits in its scope's live set
+// until its last job finishes.
 type span struct {
 	t    *Tracker
 	s    *sweepScope
 	base int
+	enq  time.Time
+	jobs []job
+	open int // jobs not yet finished
 }
 
 func (sp *span) JobStarted(i, worker int) {
@@ -263,10 +257,12 @@ func (sp *span) JobStarted(i, worker int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.cfg.Clock()
-	j := &sp.s.jobs[sp.base+i]
+	j := &sp.jobs[i]
 	j.start = now
 	j.worker = worker
-	j.state = jobRunning
+	j.running = true
+	sp.s.queued--
+	sp.s.running++
 	t.queuedN--
 	t.inflight++
 	if worker+1 > t.maxWorker {
@@ -280,7 +276,7 @@ func (sp *span) JobAnnotate(i int, key, value string) {
 	t := sp.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	j := &sp.s.jobs[sp.base+i]
+	j := &sp.jobs[i]
 	if key == "memo" {
 		j.memo = value
 		t.reg.Counter(cMemoPfx + value).Inc()
@@ -297,12 +293,15 @@ func (sp *span) JobFinished(i, worker int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.cfg.Clock()
-	j := &sp.s.jobs[sp.base+i]
-	j.end = now
-	queue := j.start.Sub(j.enq)
+	j := &sp.jobs[i]
+	j.running = false
+	if j.stalled {
+		t.stalled--
+	}
+	queue := j.start.Sub(sp.enq)
 	run := now.Sub(j.start)
 	t.inflight--
-	t.durs = append(t.durs, run)
+	sp.s.running--
 	// The histogram observations and the logged durations are the same
 	// values — replaying the log reproduces the registry exactly.
 	t.reg.Histogram(hQueueNS).Observe(uint64(queue))
@@ -312,17 +311,18 @@ func (sp *span) JobFinished(i, worker int, err error) {
 		QueueNS: int64(queue), RunNS: int64(run), Memo: j.memo,
 	}
 	if err != nil {
-		j.state = jobFailed
 		sp.s.failed++
 		t.reg.Counter(cFailed).Inc()
 		e.Ev = "fail"
 		e.Err = err.Error()
 	} else {
-		j.state = jobDone
 		sp.s.done++
 		t.reg.Counter(cFinished).Inc()
 	}
 	t.writeEvent(e)
+	if sp.open--; sp.open == 0 {
+		delete(sp.s.live, sp)
+	}
 }
 
 // Single opens a one-job span (for tools whose unit of work is a single
@@ -342,22 +342,17 @@ func (t *Tracker) DomainPulse(worker int) {
 	t.mu.Unlock()
 }
 
-// medianRunLocked returns the median completed run duration (0 with no
-// completions). Caller holds t.mu.
-func (t *Tracker) medianRunLocked() time.Duration {
-	n := len(t.durs)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), t.durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[n/2]
+// medianLocked returns the median completed run duration as the upper
+// bound of its obs.job.run_ns bucket: at most 2.5x the true median (see
+// stats.DurationBounds), 0 with no completions. Caller holds t.mu.
+func (t *Tracker) medianLocked() time.Duration {
+	return time.Duration(t.reg.Histogram(hRunNS).Quantile(0.5))
 }
 
 // stallThresholdLocked computes the current watchdog threshold:
 // max(StallFloor, StallFactor x median completed run). Caller holds t.mu.
 func (t *Tracker) stallThresholdLocked() (time.Duration, time.Duration) {
-	med := t.medianRunLocked()
+	med := t.medianLocked()
 	thr := t.cfg.StallFloor
 	if med > 0 {
 		if scaled := time.Duration(t.cfg.StallFactor * float64(med)); scaled > thr {
@@ -369,39 +364,34 @@ func (t *Tracker) stallThresholdLocked() (time.Duration, time.Duration) {
 
 // CheckStalls runs one watchdog pass: every running job past the
 // threshold is marked stalled (once — with a stall event and counter
-// increment), and the stalled gauge is set to the count of currently
-// running stalled jobs. Returns that count. Watch calls this on a
-// ticker; tests call it directly with an injected clock.
+// increment) and stays so until it finishes. The stalled gauge is set to
+// the count of running stalled jobs, which is returned. Watch calls this
+// on a ticker; tests call it directly with an injected clock.
 func (t *Tracker) CheckStalls() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.cfg.Clock()
 	thr, med := t.stallThresholdLocked()
-	stalled := 0
 	for _, label := range t.order {
-		s := t.scopes[label]
-		for i := range s.jobs {
-			j := &s.jobs[i]
-			if j.state != jobRunning {
-				continue
-			}
-			run := now.Sub(j.start)
-			if run <= thr {
-				continue
-			}
-			stalled++
-			if !j.stalled {
+		for sp := range t.scopes[label].live {
+			for i := range sp.jobs {
+				j := &sp.jobs[i]
+				run := now.Sub(j.start)
+				if !j.running || j.stalled || run <= thr {
+					continue
+				}
 				j.stalled = true
+				t.stalled++
 				t.reg.Counter(cStalls).Inc()
 				t.writeEvent(&Event{
-					T: now.UnixNano(), Ev: "stall", Sweep: label, Job: i, Worker: j.worker,
+					T: now.UnixNano(), Ev: "stall", Sweep: label, Job: sp.base + i, Worker: j.worker,
 					RunNS: int64(run), ThresholdNS: int64(thr), MedianNS: int64(med),
 				})
 			}
 		}
 	}
-	t.reg.Gauge(gStalled).Set(float64(stalled))
-	return stalled
+	t.reg.Gauge(gStalled).Set(float64(t.stalled))
+	return t.stalled
 }
 
 // Watch runs CheckStalls every interval on a background goroutine until
@@ -435,6 +425,7 @@ func (t *Tracker) Snapshot() *stats.Snapshot {
 	defer t.mu.Unlock()
 	t.reg.Gauge(gInflight).Set(float64(t.inflight))
 	t.reg.Gauge(gQueued).Set(float64(t.queuedN))
+	t.reg.Gauge(gStalled).Set(float64(t.stalled))
 	t.reg.Gauge(gWorkersMax).Set(float64(t.maxWorker))
 	t.reg.Gauge(gDomWorkers).Set(float64(len(t.domBeats)))
 	return t.reg.Snapshot()
@@ -442,16 +433,19 @@ func (t *Tracker) Snapshot() *stats.Snapshot {
 
 // SweepProgress is one sweep's live state in the /progress report.
 type SweepProgress struct {
-	Sweep       string `json:"sweep"`
-	Total       int    `json:"total"`
-	Queued      int    `json:"queued"`
-	Running     int    `json:"running"`
-	Done        int    `json:"done"`
-	Failed      int    `json:"failed"`
-	MedianRunNS int64  `json:"median_run_ns"`
+	Sweep   string `json:"sweep"`
+	Total   int    `json:"total"`
+	Queued  int    `json:"queued"`
+	Running int    `json:"running"`
+	Done    int    `json:"done"`
+	Failed  int    `json:"failed"`
+	// MedianRunNS is the tracker-wide median completed run, read from the
+	// obs.job.run_ns buckets: the bucket's upper bound, at most 2.5x the
+	// true median.
+	MedianRunNS int64 `json:"median_run_ns"`
 	// ETANS estimates time to finish the sweep's remaining jobs:
-	// remaining x (tracker-wide median completed run) / observed worker
-	// high-water. 0 until a median exists.
+	// remaining x MedianRunNS / observed worker high-water. 0 until a
+	// median exists.
 	ETANS int64 `json:"eta_ns"`
 }
 
@@ -464,30 +458,23 @@ type Report struct {
 	Sweeps   []SweepProgress `json:"sweeps"`
 }
 
-// Progress builds the live per-sweep report.
+// Progress builds the live per-sweep report from per-scope counters.
 func (t *Tracker) Progress() Report {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.cfg.Clock()
-	med := t.medianRunLocked()
+	med := t.medianLocked()
 	r := Report{
 		UptimeNS: int64(now.Sub(t.start)),
 		Workers:  t.maxWorker,
 		Inflight: t.inflight,
+		Stalled:  t.stalled,
 	}
 	for _, label := range t.order {
 		s := t.scopes[label]
-		p := SweepProgress{Sweep: label, Total: len(s.jobs), Done: s.done, Failed: s.failed, MedianRunNS: int64(med)}
-		for i := range s.jobs {
-			switch s.jobs[i].state {
-			case jobQueued:
-				p.Queued++
-			case jobRunning:
-				p.Running++
-				if s.jobs[i].stalled {
-					r.Stalled++
-				}
-			}
+		p := SweepProgress{
+			Sweep: label, Total: s.total, Queued: s.queued, Running: s.running,
+			Done: s.done, Failed: s.failed, MedianRunNS: int64(med),
 		}
 		if remaining := p.Queued + p.Running; remaining > 0 && med > 0 {
 			workers := t.maxWorker
@@ -510,7 +497,7 @@ func (t *Tracker) Close() error {
 	for _, label := range t.order {
 		s := t.scopes[label]
 		sum.Sweeps = append(sum.Sweeps, SweepSummary{
-			Sweep: label, Jobs: len(s.jobs), Done: s.done, Failed: s.failed,
+			Sweep: label, Jobs: s.total, Done: s.done, Failed: s.failed,
 		})
 	}
 	t.writeEvent(&Event{T: t.cfg.Clock().UnixNano(), Ev: "summary", Summary: sum})

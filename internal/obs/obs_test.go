@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -394,4 +395,62 @@ func TestRunnerAnnotateNoObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLiveSpansScopeWideIndices runs two spans under one label. /progress
+// counts come from the scope's counters whether or not a span is still
+// live, a stall names the job's scope-wide index, and once every span has
+// finished nothing is left counted as running or stalled.
+func TestLiveSpansScopeWideIndices(t *testing.T) {
+	now := time.Unix(1000, 0)
+	var log bytes.Buffer
+	tr := obs.NewTracker(obs.Config{
+		Log: &log, Clock: func() time.Time { return now },
+		StallFactor: 1, StallFloor: time.Millisecond,
+	})
+	a := tr.Hooks("s").SweepStarted(2)
+	b := tr.Hooks("s").SweepStarted(3) // scope-wide jobs 2..4
+	a.JobStarted(0, 0)
+	a.JobFinished(0, 0, nil)
+	a.JobStarted(1, 0)
+	a.JobFinished(1, 0, errors.New("boom")) // a's last job: a leaves the live set
+	b.JobStarted(2, 1)
+	now = now.Add(time.Second)
+	if n := tr.CheckStalls(); n != 1 {
+		t.Fatalf("CheckStalls = %d, want 1", n)
+	}
+	check := func(want obs.SweepProgress, stalled int) {
+		t.Helper()
+		rep := tr.Progress()
+		if len(rep.Sweeps) != 1 || rep.Stalled != stalled {
+			t.Fatalf("progress = %+v, want one sweep and %d stalled", rep, stalled)
+		}
+		got := rep.Sweeps[0]
+		got.MedianRunNS, got.ETANS = 0, 0
+		if got != want {
+			t.Fatalf("progress sweep = %+v, want %+v", got, want)
+		}
+	}
+	check(obs.SweepProgress{Sweep: "s", Total: 5, Queued: 2, Running: 1, Done: 1, Failed: 1}, 1)
+
+	var stall *obs.Event
+	for _, e := range parseLog(t, log.Bytes()) {
+		if e.Ev == "stall" {
+			e := e
+			stall = &e
+		}
+	}
+	if stall == nil || stall.Job != 4 || stall.Worker != 1 {
+		t.Fatalf("stall event = %+v, want scope-wide job 4 on worker 1", stall)
+	}
+
+	b.JobFinished(2, 1, nil)
+	for i := 0; i < 2; i++ {
+		b.JobStarted(i, 0)
+		b.JobFinished(i, 0, nil)
+	}
+	if n := tr.CheckStalls(); n != 0 {
+		t.Fatalf("CheckStalls after all finished = %d, want 0", n)
+	}
+	check(obs.SweepProgress{Sweep: "s", Total: 5, Done: 4, Failed: 1}, 0)
 }

@@ -1,16 +1,26 @@
 // Package prof wraps runtime/pprof for the command-line tools: one call
 // starts CPU profiling, and the returned stop function finishes the CPU
 // profile and writes a heap profile. Either path may be empty to skip
-// that profile.
+// that profile. RegisterFlags gives every command the same
+// -cpuprofile/-memprofile pair.
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sync"
 )
+
+// RegisterFlags adds -cpuprofile and -memprofile to fs and returns the
+// function that, once fs is parsed, starts the profiles they name.
+func RegisterFlags(fs *flag.FlagSet) func() (stop func() error, err error) {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	mem := fs.String("memprofile", "", "write a heap profile to this file")
+	return func() (func() error, error) { return Start(*cpu, *mem) }
+}
 
 // Start begins profiling. cpuPath, when non-empty, receives a CPU profile
 // covering the time until stop is called; memPath, when non-empty, receives

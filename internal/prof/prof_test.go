@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -87,6 +88,38 @@ func TestStartNoop(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if err := stop(); err != nil {
 			t.Fatalf("stop #%d: %v", i+1, err)
+		}
+	}
+}
+
+// TestRegisterFlags pins the shared flag pair: names and help text, and
+// that the returned start function writes the profiles the flags name.
+func TestRegisterFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "c.pprof"), filepath.Join(dir, "m.pprof")
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	start := RegisterFlags(fs)
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty: %v", p, err)
+		}
+	}
+	for name, usage := range map[string]string{
+		"cpuprofile": "write a CPU profile to this file",
+		"memprofile": "write a heap profile to this file",
+	} {
+		if fl := fs.Lookup(name); fl == nil || fl.Usage != usage || fl.DefValue != "" {
+			t.Fatalf("flag -%s = %+v", name, fl)
 		}
 	}
 }

@@ -42,15 +42,6 @@ type executor struct {
 	tracker *obs.Tracker
 }
 
-// encodeJobResult / decodeJobResult are the results cache's codec (used
-// for byte accounting; the cache is memory-only).
-func encodeJobResult(r jobResult) ([]byte, error) { return json.Marshal(r) }
-func decodeJobResult(b []byte) (jobResult, error) {
-	var r jobResult
-	err := json.Unmarshal(b, &r)
-	return r, err
-}
-
 // newExecutor wires the two cache tiers.
 func newExecutor(runMemo *core.Memo, maxResults, innerWorkers int, tracker *obs.Tracker) *executor {
 	if innerWorkers < 1 {
@@ -60,8 +51,9 @@ func newExecutor(runMemo *core.Memo, maxResults, innerWorkers int, tracker *obs.
 		runMemo: runMemo,
 		results: memo.New(memo.Config[jobResult]{
 			MaxEntries: maxResults,
-			Encode:     encodeJobResult,
-			Decode:     decodeJobResult,
+			// Memory-only: the encoding is only byte accounting, so it is
+			// the body itself (samd.results.bytes counts body bytes).
+			Encode: func(r jobResult) ([]byte, error) { return r.Body, nil },
 		}),
 		innerWorkers: innerWorkers,
 		tracker:      tracker,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sam/internal/runner"
+	"sam/internal/stats"
 )
 
 // Job states a client can observe.
@@ -30,6 +31,10 @@ var (
 	ErrQuota = errors.New("tenant active-job quota exceeded")
 )
 
+// Lookup failures the HTTP layer maps onto 404: an ID never issued, and
+// one whose terminal record left the bounded job table.
+var errNoSuchJob, errExpired = errors.New("no such job"), errors.New("job expired")
+
 // classOf maps a wire priority to its dispatch class index (0 strongest).
 func classOf(priority string) int {
 	switch priority {
@@ -45,20 +50,21 @@ func classOf(priority string) int {
 const numClasses = 3
 
 // jobResult is one completed job's payload, as served by GET
-// /jobs/{id}/result. It is the job-cache value type, so it must be
-// immutable once published — exec builds it and nothing mutates it after.
+// /jobs/{id}/result. It is the job-result cache's value type, so it must
+// be immutable once published — exec builds it and nothing mutates it
+// after; a job's result shares its Body with the cache entry.
 type jobResult struct {
 	// ContentType: "application/json" for bench/sweep/reliability payloads,
 	// "text/plain; charset=utf-8" for figure tables.
-	ContentType string `json:"ct"`
-	Body        []byte `json:"body"`
+	ContentType string
+	Body        []byte
 }
 
 // job is one accepted submission's full lifecycle record. All fields are
-// guarded by the owning sched's mutex; done is closed exactly once when
-// the job reaches a terminal state, after every other field is final.
+// guarded by the owning sched's mutex.
 type job struct {
 	id     string
+	seq    int // submission number, the listing order
 	key    string
 	tenant string
 	class  int
@@ -86,17 +92,6 @@ type job struct {
 	// sp is the job's telemetry span (a one-job sweep in the obs tracker);
 	// nil when the daemon runs without a tracker.
 	sp runner.SweepSpan
-
-	done chan struct{}
-}
-
-// terminal reports whether the job has reached a final state.
-func (j *job) terminal() bool {
-	switch j.state {
-	case StateDone, StateFailed, StateCanceled:
-		return true
-	}
-	return false
 }
 
 // schedConfig sizes the scheduler.
@@ -114,6 +109,10 @@ type schedConfig struct {
 	MaxQueueWait time.Duration
 	// Clock overrides time.Now — injectable for the starvation tests.
 	Clock func() time.Time
+	// Retain bounds the terminal job records kept for status and result
+	// lookups; the oldest-finished go first. Queued and running jobs are
+	// always kept. <= 0 = unbounded.
+	Retain int
 	// Observer, when non-nil, receives a one-job span per accepted job
 	// (the obs tracker's Hooks under the daemon's job label).
 	Observer runner.SweepObserver
@@ -132,19 +131,19 @@ type sched struct {
 	cond *sync.Cond
 
 	seq          int
-	jobs         map[string]*job
-	order        []string // submission order, for listing
+	jobs         map[string]*job // live jobs plus the retained terminal ones
+	finished     []*job          // retained terminal jobs, oldest-finished first
 	queues       [numClasses][]*job
 	queuedN      int
 	activeByKey  map[string]*job // in-flight leader per content key
 	tenantActive map[string]int
 
-	baseCtx   context.Context
-	baseStop  context.CancelFunc
-	draining  bool
-	stopped   bool
-	wg        sync.WaitGroup
-	completed []time.Duration // run durations, for ETA estimates
+	baseCtx  context.Context
+	baseStop context.CancelFunc
+	draining bool
+	stopped  bool
+	wg       sync.WaitGroup
+	runs     *stats.Histogram // completed leader run durations, for ETAs
 }
 
 // newSched builds and starts the worker pool.
@@ -166,6 +165,7 @@ func newSched(cfg schedConfig) *sched {
 		jobs:         make(map[string]*job),
 		activeByKey:  make(map[string]*job),
 		tenantActive: make(map[string]int),
+		runs:         stats.NewHistogram(stats.DurationBounds...),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
@@ -180,7 +180,8 @@ func newSched(cfg schedConfig) *sched {
 func (s *sched) newJobLocked(req *SubmitRequest, key, label string) *job {
 	s.seq++
 	j := &job{
-		id:       fmt.Sprintf("j-%06d", s.seq),
+		id:       jobID(s.seq),
+		seq:      s.seq,
 		key:      key,
 		tenant:   req.Tenant,
 		class:    classOf(req.Priority),
@@ -190,10 +191,8 @@ func (s *sched) newJobLocked(req *SubmitRequest, key, label string) *job {
 		state:    StateQueued,
 		enqueued: s.cfg.Clock(),
 		worker:   -1,
-		done:     make(chan struct{}),
 	}
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	if s.cfg.Observer != nil {
 		j.sp = s.cfg.Observer.SweepStarted(1)
 	}
@@ -233,7 +232,7 @@ func (s *sched) Submit(req *SubmitRequest, cached func(key string) (jobResult, s
 				j.sp.JobAnnotate(0, "memo", outcome)
 				j.sp.JobFinished(0, 0, nil)
 			}
-			close(j.done)
+			s.finishLocked(j)
 			return j, nil
 		}
 	}
@@ -281,12 +280,22 @@ func jobLabel(req *SubmitRequest) string {
 	return req.Kind
 }
 
-// Get returns a job by ID.
-func (s *sched) Get(id string) (*job, bool) {
+// jobID renders the ID of the seq-th submission.
+func jobID(seq int) string { return fmt.Sprintf("j-%06d", seq) }
+
+// Get returns a job by ID: errExpired for an issued ID whose terminal
+// record left the table, errNoSuchJob for an ID never issued.
+func (s *sched) Get(id string) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	if j, ok := s.jobs[id]; ok {
+		return j, nil
+	}
+	var n int
+	if _, err := fmt.Sscanf(id, "j-%d", &n); err == nil && n >= 1 && n <= s.seq && jobID(n) == id {
+		return nil, errExpired
+	}
+	return nil, errNoSuchJob
 }
 
 // worker is one dispatch loop: pick, execute, complete, repeat.
@@ -391,7 +400,7 @@ func (s *sched) complete(j *job, res jobResult, memoOut string, err error) {
 	} else {
 		j.state = StateDone
 		j.result = res
-		s.completed = append(s.completed, now.Sub(j.started))
+		s.runs.Observe(uint64(now.Sub(j.started)))
 	}
 	if j.sp != nil {
 		if memoOut != "" && err == nil {
@@ -400,7 +409,7 @@ func (s *sched) complete(j *job, res jobResult, memoOut string, err error) {
 		j.sp.JobFinished(0, j.worker, err)
 	}
 	s.retireLocked(j)
-	close(j.done)
+	s.finishLocked(j)
 
 	for _, f := range j.followers {
 		f.finished = now
@@ -421,7 +430,7 @@ func (s *sched) complete(j *job, res jobResult, memoOut string, err error) {
 			f.sp.JobFinished(0, j.worker, err)
 		}
 		s.retireLocked(f)
-		close(f.done)
+		s.finishLocked(f)
 	}
 	j.followers = nil
 	s.cond.Broadcast() // wake the drain waiter
@@ -436,6 +445,17 @@ func (s *sched) retireLocked(j *job) {
 	}
 	if s.activeByKey[j.key] == j {
 		delete(s.activeByKey, j.key)
+	}
+}
+
+// finishLocked files a job that just reached a terminal state, dropping
+// the oldest-finished records beyond cfg.Retain. Caller holds s.mu.
+func (s *sched) finishLocked(j *job) {
+	s.finished = append(s.finished, j)
+	for s.cfg.Retain > 0 && len(s.finished) > s.cfg.Retain {
+		delete(s.jobs, s.finished[0].id)
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
 	}
 }
 
@@ -455,7 +475,7 @@ func (s *sched) cancelQueuedLocked() {
 			j.sp.JobFinished(0, 0, context.Canceled)
 		}
 		s.retireLocked(j)
-		close(j.done)
+		s.finishLocked(j)
 	}
 	for c := 0; c < numClasses; c++ {
 		for _, j := range s.queues[c] {
@@ -470,23 +490,14 @@ func (s *sched) cancelQueuedLocked() {
 	s.queuedN = 0
 }
 
-// activeLocked counts non-terminal jobs. Caller holds s.mu.
-func (s *sched) activeLocked() int {
-	n := 0
-	for _, id := range s.order {
-		if !s.jobs[id].terminal() {
-			n++
-		}
-	}
-	return n
-}
-
 // Drain stops admissions, then waits for every accepted job to reach a
 // terminal state. While ctx lives, running and queued jobs finish
 // normally (graceful). Once ctx is done, queued jobs are canceled
 // outright and running jobs' contexts are canceled (sweeps stop at the
 // next cell boundary); Drain still waits for the workers to surface
 // those cancellations — every accepted job is terminal when it returns.
+// A job is live exactly while its leader is in activeByKey: followers
+// finish with their leader, and instant serves are born terminal.
 func (s *sched) Drain(ctx context.Context) {
 	s.mu.Lock()
 	s.draining = true
@@ -500,13 +511,13 @@ func (s *sched) Drain(ctx context.Context) {
 	defer wake()
 
 	s.mu.Lock()
-	for s.activeLocked() > 0 && ctx.Err() == nil {
+	for len(s.activeByKey) > 0 && ctx.Err() == nil {
 		s.cond.Wait()
 	}
 	if ctx.Err() != nil {
 		s.cancelQueuedLocked()
 		s.baseStop() // cancels every running job's context
-		for s.activeLocked() > 0 {
+		for len(s.activeByKey) > 0 {
 			s.cond.Wait()
 		}
 	}
@@ -515,18 +526,6 @@ func (s *sched) Drain(ctx context.Context) {
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.baseStop()
-}
-
-// medianRunLocked estimates one job's run duration from completions so
-// far. Caller holds s.mu.
-func (s *sched) medianRunLocked() time.Duration {
-	n := len(s.completed)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), s.completed...)
-	sort.Slice(sorted, func(i, k int) bool { return sorted[i] < sorted[k] })
-	return sorted[n/2]
 }
 
 // JobStatus is the GET /jobs/{id} document.
@@ -546,7 +545,9 @@ type JobStatus struct {
 	QueueNS int64  `json:"queue_ns,omitempty"`
 	RunNS   int64  `json:"run_ns,omitempty"`
 	// ETANS estimates time to completion for queued/running jobs, from the
-	// median completed run so far (0 until one exists).
+	// median completed run so far, read as the upper bound of its
+	// stats.DurationBounds bucket (so up to 2.5x the true median; 0 until
+	// a run completes).
 	ETANS int64  `json:"eta_ns,omitempty"`
 	Err   string `json:"err,omitempty"`
 }
@@ -555,7 +556,12 @@ type JobStatus struct {
 func (s *sched) Status(j *job) JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.cfg.Clock()
+	return s.statusLocked(j, s.cfg.Clock())
+}
+
+// statusLocked renders j at time now. Caller holds s.mu.
+func (s *sched) statusLocked(j *job, now time.Time) JobStatus {
+	med := time.Duration(s.runs.Quantile(0.5))
 	st := JobStatus{
 		ID:       j.id,
 		Kind:     j.kind,
@@ -567,7 +573,6 @@ func (s *sched) Status(j *job) JobStatus {
 		DedupOf:  j.leaderID,
 		Err:      j.errMsg,
 	}
-	med := s.medianRunLocked()
 	switch j.state {
 	case StateQueued:
 		st.QueueNS = int64(now.Sub(j.enqueued))
@@ -600,17 +605,20 @@ func (s *sched) Status(j *job) JobStatus {
 	return st
 }
 
-// List snapshots every job in submission order, newest last.
+// List snapshots every job in the table in submission order, newest
+// last, under one lock acquisition.
 func (s *sched) List() []JobStatus {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		s.mu.Lock()
-		j := s.jobs[id]
-		s.mu.Unlock()
-		out = append(out, s.Status(j))
+	defer s.mu.Unlock()
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
+	now := s.cfg.Clock()
+	out := make([]JobStatus, len(jobs))
+	for i, j := range jobs {
+		out[i] = s.statusLocked(j, now)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -357,4 +358,72 @@ func TestStatusListing(t *testing.T) {
 		t.Fatalf("listing = %+v", l)
 	}
 	s.Drain(context.Background())
+}
+
+// TestListWhileRetiring lists the table while jobs finish and leave it:
+// every listing is one snapshot in submission order holding at most
+// Retain terminal jobs, and afterwards a dropped ID reports errExpired
+// while an ID never issued reports errNoSuchJob. Under -race it also
+// checks List's locking against retirement.
+func TestListWhileRetiring(t *testing.T) {
+	const retain, jobs = 4, 500
+	s := newSched(schedConfig{
+		Workers: 2, QueueCap: jobs, Retain: retain,
+		Exec: func(ctx context.Context, j *job) (jobResult, string, error) {
+			return jobResult{Body: []byte(j.id)}, "miss", nil
+		},
+	})
+	stop := make(chan struct{})
+	listed := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				listed <- nil
+				return
+			default:
+			}
+			l, terminal := s.List(), 0
+			for i, st := range l {
+				if i > 0 && st.ID <= l[i-1].ID {
+					listed <- fmt.Errorf("listing out of order: %s after %s", st.ID, l[i-1].ID)
+					return
+				}
+				if st.State == StateDone {
+					terminal++
+				}
+			}
+			if terminal > retain {
+				listed <- fmt.Errorf("listing holds %d terminal jobs, retain %d", terminal, retain)
+				return
+			}
+		}
+	}()
+	var ids []string
+	for i := 0; i < jobs; i++ {
+		j, err := s.Submit(benchReq("t1", PriorityNormal, uint64(i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.id)
+	}
+	s.Drain(context.Background())
+	close(stop)
+	if err := <-listed; err != nil {
+		t.Fatal(err)
+	}
+	if l := s.List(); len(l) != retain || l[retain-1].ID != ids[jobs-1] {
+		t.Fatalf("after drain listing = %+v, want the last %d jobs", l, retain)
+	}
+	if _, err := s.Get(ids[0]); err != errExpired {
+		t.Fatalf("Get(dropped %s) err = %v, want errExpired", ids[0], err)
+	}
+	if j, err := s.Get(ids[jobs-1]); err != nil || j.state != StateDone {
+		t.Fatalf("Get(retained %s) = %v, %v", ids[jobs-1], j, err)
+	}
+	for _, id := range []string{"j-999999", "j-0", "j-1", "j-00001", "bogus"} {
+		if _, err := s.Get(id); err != errNoSuchJob {
+			t.Fatalf("Get(%q) err = %v, want errNoSuchJob", id, err)
+		}
+	}
 }

@@ -31,7 +31,10 @@ type Config struct {
 	// CacheDir, when set, adds the run-level cache's disk tier — sharing
 	// a samfig/samsim -cache-dir starts the daemon warm.
 	CacheDir string
-	// ResultEntries bounds the job-result cache (0 = default).
+	// ResultEntries bounds the job-result cache (0 = memo's default,
+	// negative = unbounded). It also bounds the terminal job records the
+	// daemon keeps: a job whose result the cache could no longer serve is
+	// dropped, oldest-finished first, and its ID answers 404 "job expired".
 	ResultEntries int
 	// EventLog, when non-nil, receives the obs JSONL event stream.
 	EventLog io.Writer
@@ -72,6 +75,7 @@ func NewDaemon(cfg Config) *Daemon {
 		QueueCap:     cfg.QueueCap,
 		TenantQuota:  cfg.TenantQuota,
 		MaxQueueWait: cfg.MaxQueueWait,
+		Retain:       d.exec.results.MaxEntries(),
 		Clock:        cfg.Clock,
 		Observer:     d.tracker.Hooks("samd"),
 		Exec:         d.exec.run,
@@ -150,11 +154,12 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/jobs/"+j.id)
+	st := d.sched.Status(j)
 	status := http.StatusAccepted
-	if d.sched.Status(j).State == StateDone {
+	if st.State == StateDone {
 		status = http.StatusOK // served instantly from the result cache
 	}
-	writeJSON(w, status, SubmitResponse{Job: d.sched.Status(j)})
+	writeJSON(w, status, SubmitResponse{Job: st})
 }
 
 // ListResponse is the GET /jobs reply, submission order.
@@ -167,18 +172,18 @@ func (d *Daemon) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := d.sched.Get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
+	j, err := d.sched.Get(r.PathValue("id"))
+	if err != nil {
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, d.sched.Status(j))
 }
 
 func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := d.sched.Get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
+	j, err := d.sched.Get(r.PathValue("id"))
+	if err != nil {
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
 		return
 	}
 	st := d.sched.Status(j)

@@ -157,3 +157,25 @@ func TestSnapshotMergeOrderInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestDurationBoundsMedianWithin2_5x pins the shared duration buckets: a
+// 1-2-5 series spanning 1µs..60s, whose bucketed median of a single
+// duration never understates it and overstates it by at most 2.5x.
+func TestDurationBoundsMedianWithin2_5x(t *testing.T) {
+	b := DurationBounds
+	if b[0] > 1e3 || b[len(b)-1] < 6e10 {
+		t.Fatalf("DurationBounds %d..%d do not cover 1µs..60s", b[0], b[len(b)-1])
+	}
+	for i := 1; i < len(b); i++ {
+		if r := float64(b[i]) / float64(b[i-1]); r > 2.5 || r <= 1 {
+			t.Fatalf("bound %d/%d ratio %.2f outside (1, 2.5]", b[i], b[i-1], r)
+		}
+	}
+	for v := uint64(1e3); v <= 6e10; v = v*13/10 + 1 {
+		h := NewHistogram(DurationBounds...)
+		h.Observe(v)
+		if med := h.Quantile(0.5); med < v || float64(med) > 2.5*float64(v) {
+			t.Fatalf("median of %dns = %dns, want within [1x, 2.5x]", v, med)
+		}
+	}
+}

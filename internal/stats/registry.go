@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 )
@@ -112,24 +111,7 @@ func (h HistogramSnap) Mean() float64 {
 // bounds (the overflow bucket reports the observed max), mirroring
 // Histogram.Quantile.
 func (h HistogramSnap) Quantile(q float64) uint64 {
-	if h.Total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.Total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			return h.Max
-		}
-	}
-	return h.Max
+	return quantile(h.Bounds, h.Counts, h.Total, h.Max, q)
 }
 
 // Snapshot is a registry's frozen, mergeable state. It is a plain value:

@@ -78,6 +78,17 @@ func (g *Gauge) Samples() uint64 { return g.samples }
 // Sum returns the running sum of all recorded samples.
 func (g *Gauge) Sum() float64 { return g.sum }
 
+// DurationBounds are the bucket upper bounds, in nanoseconds, shared by
+// every wall-clock duration histogram: a 1-2-5 series from 1µs to 100s
+// (+Inf implicit). A quantile read from them is the upper bound of its
+// bucket, so for durations of at least 1µs it overstates the true value
+// by at most 2.5x.
+var DurationBounds = []uint64{
+	1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, // 1µs..500µs
+	1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8, 2e8, 5e8, // 1ms..500ms
+	1e9, 2e9, 5e9, 1e10, 2e10, 5e10, 1e11, // 1s..100s
+}
+
 // Histogram is a fixed-bucket histogram for latency-style distributions.
 type Histogram struct {
 	bounds []uint64 // upper bounds, ascending; implicit +Inf last bucket
@@ -132,24 +143,29 @@ func (h *Histogram) Mean() float64 {
 // Quantile returns an upper bound for quantile q in [0,1], using bucket
 // upper bounds (the final bucket reports the observed max).
 func (h *Histogram) Quantile(q float64) uint64 {
-	if h.total == 0 {
+	return quantile(h.bounds, h.counts, h.total, h.max, q)
+}
+
+// quantile is the bucket walk behind both Quantile methods.
+func quantile(bounds, counts []uint64, total, top uint64, q float64) uint64 {
+	if total == 0 {
 		return 0
 	}
-	target := uint64(math.Ceil(q * float64(h.total)))
+	target := uint64(math.Ceil(q * float64(total)))
 	if target == 0 {
 		target = 1
 	}
 	var cum uint64
-	for i, c := range h.counts {
+	for i, c := range counts {
 		cum += c
 		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
+			if i < len(bounds) {
+				return bounds[i]
 			}
-			return h.max
+			return top
 		}
 	}
-	return h.max
+	return top
 }
 
 // Gmean returns the geometric mean of xs. Non-positive inputs are skipped;
