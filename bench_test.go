@@ -457,39 +457,6 @@ func BenchmarkExtensionMultiChannel(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiChannelSharded contrasts the two run engines on the same
-// 4-channel baseline scan: serial (ShardWorkers=1, one event loop services
-// every channel) versus sharded (one event domain per channel replayed by
-// worker goroutines). Both produce bit-identical RunStats — the cycles
-// metric must match between the sub-benchmarks; ns/op is the wall-clock
-// contrast, which on multi-core hosts shows the sharding win.
-func BenchmarkMultiChannelSharded(b *testing.B) {
-	w := benchWorkload()
-	q := core.Benchmark()[2]
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"sharded", 4}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				d := design.New(design.Baseline, design.Options{})
-				d.Mem.Geometry.Channels = 4
-				s := sim.NewSystem(d)
-				s.ShardWorkers = mode.workers
-				s.AddTable(imdb.NewTable(imdb.Ta(w.TaRecords), w.Seed), false)
-				s.AddTable(imdb.NewTable(imdb.Tb(w.TbRecords), w.Seed+1), false)
-				r, err := s.RunQuery(q.SQL, q.Params)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = float64(r.Stats.Cycles)
-			}
-			b.ReportMetric(cycles, "cycles")
-		})
-	}
-}
-
 // BenchmarkSimulatorThroughputSampled is BenchmarkSimulatorThroughput with
 // the event ring and windowed sampler attached: every request lifecycle
 // and DRAM command is traced and every window boundary snapshots the

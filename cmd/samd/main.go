@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"sam/internal/serve"
-	"sam/internal/sim"
 )
 
 func main() {
@@ -68,8 +67,6 @@ func main() {
 	}
 
 	d := serve.NewDaemon(cfg)
-	d.AddSource(sim.ShardObsSnapshot)
-	sim.SetDomainPulse(d.Tracker().DomainPulse)
 	stopWatch := d.Tracker().Watch(2 * time.Second)
 
 	ln, err := net.Listen("tcp", *listen)
@@ -98,7 +95,6 @@ func main() {
 	_ = srv.Shutdown(shutCtx)
 	cancel()
 	stopWatch()
-	sim.SetDomainPulse(nil)
 	if drainErr != nil {
 		fmt.Fprintf(os.Stderr, "samd: event log: %v\n", drainErr)
 	}

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -23,7 +24,6 @@ import (
 	"sam/internal/design"
 	"sam/internal/etrace"
 	"sam/internal/fault"
-	"sam/internal/imdb"
 	"sam/internal/mc"
 	"sam/internal/obs"
 	"sam/internal/prof"
@@ -55,7 +55,6 @@ func main() {
 	faultChips := flag.String("fault-chips", "", "comma-separated dead-chip indices, each as chip or rank:chip (-1 rank = all)")
 	faultStuck := flag.String("fault-stuck", "", "comma-separated stuck DQ lines, each as chip:dq:value (value 0 or 1)")
 	faultRetries := flag.Int("fault-retries", mc.DefaultConfig().MaxRetries, "read-retry budget before poisoning (0 = poison on first DUE)")
-	shardWorkers := flag.Int("shard-workers", 0, "run-engine event-domain workers: 0 = auto (min(channels, GOMAXPROCS)), 1 = serial, >=2 = force sharding")
 	traceOut := flag.String("trace", "", "dump the memory request trace to this file")
 	eventOut := flag.String("trace-out", "", "write a cycle-accurate Chrome/Perfetto trace-event JSON to this file")
 	traceCSV := flag.String("trace-csv", "", "write the windowed time-series samples as CSV to this file")
@@ -129,8 +128,8 @@ func main() {
 
 	// Runs without attached extras route through the memo cache; with
 	// -cache-dir a repeat of the same (design, workload, query) replays
-	// from disk instead of simulating. Hand-built systems (fault models,
-	// tracers, forced sharding) always execute for real.
+	// from disk instead of simulating. Runs with extras attached (fault
+	// models, tracers) always execute for real.
 	var cache *core.Memo
 	if !*noCache {
 		cache = core.NewMemo(core.MemoOptions{Dir: *cacheDir})
@@ -155,64 +154,17 @@ func main() {
 		}
 	}()
 
-	eventTracing := *eventOut != "" || *traceCSV != ""
+	ex := extras{
+		faults: faults, traceOut: *traceOut, eventOut: *eventOut, traceCSV: *traceCSV,
+		traceWindow: *traceWindow, traceLimit: *traceLimit,
+	}
 	var res, base *sim.QueryResult
-	if faults != nil || *traceOut != "" || eventTracing || *shardWorkers != 0 {
-		// Build the system by hand so the extras can be attached.
-		d := design.New(kind, design.Options{})
-		s := sim.NewSystem(d)
-		s.ShardWorkers = *shardWorkers
-		s.AddTable(imdb.NewTable(imdb.Ta(w.TaRecords), w.Seed), false)
-		s.AddTable(imdb.NewTable(imdb.Tb(w.TbRecords), w.Seed+1), false)
-		if faults != nil {
-			s.Faults = faults
-		}
-		if *traceOut != "" {
-			s.TraceSink = &trace.Trace{}
-		}
-		var buf *etrace.Buffer
-		var sp *etrace.Sampler
-		if eventTracing {
-			buf = etrace.NewBuffer(*traceLimit)
-			buf.Name = kind.String()
-			sp = etrace.NewSampler(*traceWindow)
-			sp.Name = kind.String()
-			s.AttachEventTrace(buf, sp)
-		}
-		params := bench.Params
-		if params == nil {
-			params = sql.Params{}
-		}
+	if ex.attached() {
 		finish := plane.Single("run")
-		res, err = s.RunQuery(bench.SQL, params)
+		res, err = runWithExtras(kind, w, bench, ex, os.Stdout)
 		finish(err)
 		if err != nil {
 			fail(err)
-		}
-		if *traceOut != "" {
-			f, ferr := os.Create(*traceOut)
-			if ferr != nil {
-				fail(ferr)
-			}
-			if ferr := s.TraceSink.Write(f); ferr != nil {
-				fail(ferr)
-			}
-			f.Close()
-			fmt.Printf("trace         %d requests -> %s\n", s.TraceSink.Len(), *traceOut)
-		}
-		if *eventOut != "" {
-			if err := writeChromeFile(*eventOut, []*etrace.Buffer{buf}, []*etrace.Sampler{sp}); err != nil {
-				fail(err)
-			}
-			fmt.Printf("event trace   %d events (%d dropped), %d samples -> %s\n",
-				buf.Len(), buf.Dropped(), len(sp.Samples), *eventOut)
-		}
-		if *traceCSV != "" {
-			if err := writeCSVFile(*traceCSV, sp); err != nil {
-				fail(err)
-			}
-			fmt.Printf("trace csv     %d samples (window %d cycles) -> %s\n",
-				len(sp.Samples), sp.Window, *traceCSV)
 		}
 	} else if *compare && kind != design.Baseline {
 		// The design and its baseline are independent runs; fan them out
@@ -261,6 +213,70 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// extras are the run attachments that need a system built by hand: a
+// fault model and the request, event and time-series tracers.
+type extras struct {
+	faults                       *sim.FaultModel
+	traceOut, eventOut, traceCSV string
+	traceWindow                  int64
+	traceLimit                   int
+}
+
+// attached reports whether any extra is set.
+func (x extras) attached() bool {
+	return x.faults != nil || x.traceOut != "" || x.eventOut != "" || x.traceCSV != ""
+}
+
+// runWithExtras runs q on the system core.RunOne would build, with the
+// extras attached, writes the requested trace files, and reports each
+// file on out. Tracers only observe, so a traced run's result equals the
+// plain run's.
+func runWithExtras(kind design.Kind, w core.Workload, q core.BenchQuery, x extras, out io.Writer) (*sim.QueryResult, error) {
+	s := core.BenchSystem(kind, design.Options{}, w, q)
+	s.Faults = x.faults
+	if x.traceOut != "" {
+		s.TraceSink = &trace.Trace{}
+	}
+	var buf *etrace.Buffer
+	var sp *etrace.Sampler
+	if x.eventOut != "" || x.traceCSV != "" {
+		buf = etrace.NewBuffer(x.traceLimit)
+		buf.Name = kind.String()
+		sp = etrace.NewSampler(x.traceWindow)
+		sp.Name = kind.String()
+		s.AttachEventTrace(buf, sp)
+	}
+	res, err := core.RunOn(s, q)
+	if err != nil {
+		return nil, err
+	}
+	if x.traceOut != "" {
+		if err := writeFile(x.traceOut, s.TraceSink.Write); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(out, "trace         %d requests -> %s\n", s.TraceSink.Len(), x.traceOut)
+	}
+	if x.eventOut != "" {
+		err := writeFile(x.eventOut, func(w io.Writer) error {
+			return etrace.WriteChrome(w, []*etrace.Buffer{buf}, []*etrace.Sampler{sp})
+		})
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(out, "event trace   %d events (%d dropped), %d samples -> %s\n",
+			buf.Len(), buf.Dropped(), len(sp.Samples), x.eventOut)
+	}
+	if x.traceCSV != "" {
+		err := writeFile(x.traceCSV, func(w io.Writer) error { return etrace.WriteCSV(w, sp) })
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(out, "trace csv     %d samples (window %d cycles) -> %s\n",
+			len(sp.Samples), sp.Window, x.traceCSV)
+	}
+	return res, nil
 }
 
 // buildFaultModel assembles the run's fault configuration from the -fault-*
@@ -326,24 +342,13 @@ func buildFaultModel(legacyChip int, rate float64, seed uint64, chips, stuck str
 	return cfg, nil
 }
 
-func writeChromeFile(path string, bufs []*etrace.Buffer, sps []*etrace.Sampler) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := etrace.WriteChrome(f, bufs, sps); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeCSVFile(path string, sp *etrace.Sampler) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := etrace.WriteCSV(f, sp); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

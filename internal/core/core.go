@@ -109,13 +109,25 @@ func NewSystem(kind design.Kind, opts design.Options, w Workload, colStore bool)
 	return s
 }
 
+// BenchSystem builds the system RunOne runs q on: the Ideal design stores
+// its tables in the query class's preferred layout (column-major for
+// Q-class queries). Tools that attach extras build through it, so the
+// extras never change the layout.
+func BenchSystem(kind design.Kind, opts design.Options, w Workload, q BenchQuery) *sim.System {
+	return NewSystem(kind, opts, w, prefersColStore(kind, q))
+}
+
+// prefersColStore reports whether q runs on a column-major layout of kind.
+func prefersColStore(kind design.Kind, q BenchQuery) bool {
+	return kind == design.Ideal && q.Class == ClassQ
+}
+
 // RunOne executes one benchmark query on a fresh system of the given kind
 // and returns its result. The Ideal design automatically uses the
 // preferred store for the query class, and Qs-class queries execute with
 // row-preferring full-record scans.
 func RunOne(kind design.Kind, opts design.Options, w Workload, q BenchQuery) (*sim.QueryResult, error) {
-	colStore := kind == design.Ideal && q.Class == ClassQ
-	return RunOn(NewSystem(kind, opts, w, colStore), q)
+	return RunOn(BenchSystem(kind, opts, w, q), q)
 }
 
 // RunOneFaulted is RunOne with fault injection attached: every data burst
@@ -123,8 +135,7 @@ func RunOne(kind design.Kind, opts design.Options, w Workload, q BenchQuery) (*s
 // drawn from fm. The throughput benchmarks use it to measure the price of a
 // live fault plane against the fault-free path.
 func RunOneFaulted(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, error) {
-	colStore := kind == design.Ideal && q.Class == ClassQ
-	s := NewSystem(kind, opts, w, colStore)
+	s := BenchSystem(kind, opts, w, q)
 	s.Faults = fm
 	return RunOn(s, q)
 }

@@ -20,12 +20,13 @@ import (
 // means "run everything", bit-for-bit the pre-cache behaviour.
 //
 // Correctness rests on two invariants the repo already pins: runs are
-// deterministic and worker-count-invariant (frozen-scheduler and
-// sharded-engine differentials), and cached QueryResults are never
-// mutated by consumers (the drivers only read them). The key covers
-// every run input; fixed simulator semantics (timing models, scheduler
-// policy, cpu/cache defaults, workload generation) are covered by
-// memo.SchemaVersion — see TestMemoSaltTripwire.
+// deterministic and worker-count-invariant (the frozen-scheduler
+// differential and the *DeterministicAcrossWorkers tests), and cached
+// QueryResults are never mutated by consumers (the drivers only read
+// them). The key covers every run input; fixed simulator semantics
+// (timing models, scheduler policy, cpu/cache defaults, workload
+// generation) are covered by memo.SchemaVersion — see
+// TestMemoSaltTripwire.
 type Memo struct {
 	cache *memo.Cache[*sim.QueryResult]
 }
@@ -80,10 +81,9 @@ func (m *Memo) RunOneFaultedObserved(kind design.Kind, opts design.Options, w Wo
 // runBench caches a benchmark-shaped run (both tables loaded, optional
 // fault model) under its canonical fingerprint.
 func (m *Memo) runBench(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, memo.Outcome, error) {
-	colStore := kind == design.Ideal && q.Class == ClassQ
-	key := benchRunKey(kind, opts, w, q, colStore, fm)
+	key := benchRunKey(kind, opts, w, q, prefersColStore(kind, q), fm)
 	return m.cache.Do(key, func() (*sim.QueryResult, error) {
-		s := NewSystem(kind, opts, w, colStore)
+		s := BenchSystem(kind, opts, w, q)
 		if fm != nil {
 			s.Faults = fm
 		}

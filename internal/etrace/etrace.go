@@ -124,10 +124,8 @@ const DefaultCapacity = 1 << 20
 
 // Buffer is the bounded event recorder. One buffer serves every channel of
 // a system, but each channel's tracer owns a private ring (bounded by the
-// buffer capacity), so the per-channel event domains of a sharded run can
-// record concurrently without locks — a channel's ring is only ever touched
-// by the goroutine replaying that channel, exactly like the controller and
-// device it instruments.
+// buffer capacity), so a busy channel's overflow never evicts another
+// channel's events.
 type Buffer struct {
 	// Name labels the buffer in exports (typically the design name).
 	Name string

@@ -35,7 +35,7 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	}
 }
 
-// TestPerChannelRingsIndependent pins the sharded-engine contract: each
+// TestPerChannelRingsIndependent pins the per-channel ring contract: each
 // channel tracer owns its own ring, so one channel overflowing (and
 // dropping its oldest events) never evicts another channel's events, drop
 // accounting is per channel, and Events() concatenates the surviving

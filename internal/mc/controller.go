@@ -244,37 +244,6 @@ func DefaultConfig() Config {
 	return Config{WriteQueueCap: 32, WriteDrainHigh: 24, WriteDrainLow: 8, ReadQueueCap: 64, MaxRetries: 3}
 }
 
-// PickKind is the controller's read-vs-write queue selection as a pure
-// function of the queue occupancies and the drain latch: reads have
-// priority, writes drain in batches between the hysteresis watermarks or
-// opportunistically when no reads are pending. It returns the chosen kind
-// (isWrite), whether the choice was a drain pick (counted in
-// Stats.WriteDrains), the updated latch, and ok=false when both queues are
-// empty.
-//
-// pickQueue delegates here, and the sharded run engine replays the same
-// function over mirrored occupancy counts to precompute each channel's
-// service schedule — keeping the two in one body is what makes the mirror
-// drift-proof by construction.
-func (cfg Config) PickKind(readN, writeN int, draining bool) (isWrite, drainPick, nowDraining, ok bool) {
-	if writeN >= cfg.WriteDrainHigh {
-		draining = true
-	}
-	if writeN <= cfg.WriteDrainLow {
-		draining = false
-	}
-	switch {
-	case draining && writeN > 0:
-		return true, true, draining, true
-	case readN > 0:
-		return false, false, draining, true
-	case writeN > 0:
-		return true, false, draining, true
-	default:
-		return false, false, draining, false
-	}
-}
-
 // NewController builds a controller over a device.
 func NewController(dev *dram.Device, cfg Config) *Controller {
 	if cfg.WriteQueueCap <= 0 || cfg.WriteDrainHigh > cfg.WriteQueueCap || cfg.WriteDrainLow >= cfg.WriteDrainHigh || cfg.ReadQueueCap <= 0 ||
@@ -305,9 +274,7 @@ func (c *Controller) SetMaxRetries(n int) {
 func (c *Controller) AddrMap() *AddrMap { return c.amap }
 
 // Config returns the controller's current configuration (including any
-// SetMaxRetries adjustment). The sharded engine reads it to seed each
-// channel's occupancy mirror with the exact watermarks the controller
-// schedules by.
+// SetMaxRetries adjustment).
 func (c *Controller) Config() Config { return c.cfg }
 
 // Pending returns the number of queued requests.
@@ -396,21 +363,28 @@ func (c *Controller) ServiceOne() (Completion, bool) {
 	return comp, true
 }
 
-// pickQueue decides between the read queue and the write queue via
-// Config.PickKind, updating the drain latch and the drain tally.
+// pickQueue chooses between the read and write queues: reads have
+// priority, writes drain in batches between the hysteresis watermarks or
+// opportunistically when no reads are pending. It updates the drain latch
+// and counts drain picks in Stats.WriteDrains; nil means both queues are
+// empty.
 func (c *Controller) pickQueue() *reqQueue {
-	isWrite, drainPick, draining, ok := c.cfg.PickKind(c.readQ.n, c.writeQ.n, c.draining)
-	c.draining = draining
-	if !ok {
-		return nil
+	if c.writeQ.n >= c.cfg.WriteDrainHigh {
+		c.draining = true
 	}
-	if drainPick {
+	if c.writeQ.n <= c.cfg.WriteDrainLow {
+		c.draining = false
+	}
+	switch {
+	case c.draining && c.writeQ.n > 0:
 		c.Stats.WriteDrains++
-	}
-	if isWrite {
+		return &c.writeQ
+	case c.readQ.n > 0:
+		return &c.readQ
+	case c.writeQ.n > 0:
 		return &c.writeQ
 	}
-	return &c.readQ
+	return nil
 }
 
 // starvationLimit caps FR-FCFS reordering: once the oldest *read* has

@@ -14,8 +14,8 @@ import (
 // wrong for the same inputs: timing-model edits, scheduler policy
 // changes, power-model constants, workload generation, ECC adjudication.
 // Structural changes that provably preserve behaviour (the frozen-
-// scheduler 1000-mix differential and the sharded-engine differential
-// are the tripwires that prove it) do not require a bump.
+// scheduler 1000-mix differential is the tripwire that proves it) do not
+// require a bump.
 //
 // TestMemoSaltTripwire in internal/core pins (SchemaVersion, probe-run
 // digest) as a golden pair: changing simulator output without bumping

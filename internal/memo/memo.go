@@ -194,17 +194,12 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 			return flightRes[V]{v, out}, nil
 		}
 		v, err := compute()
+		if err == nil {
+			err = c.Put(key, v)
+		}
 		if err != nil {
 			return flightRes[V]{}, err
 		}
-		enc, err := c.encode(v)
-		if err != nil {
-			return flightRes[V]{}, fmt.Errorf("memo: encode %s: %w", key, err)
-		}
-		c.insert(key, v, enc, true)
-		c.mu.Lock()
-		c.misses.Inc()
-		c.mu.Unlock()
 		return flightRes[V]{v, Miss}, nil
 	})
 	if err != nil {
@@ -223,7 +218,7 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 // Lookup probes both tiers without computing: a memory hit counts as
 // Hit, a disk hit is promoted and counted as DiskHit, and an absent key
 // returns ok=false WITHOUT counting a miss — the caller is expected to
-// follow up with Do, which accounts for the computation. This is the
+// follow up with Do or Put, which account for the computation. This is the
 // admission-time probe the samd daemon uses to serve a repeated job
 // submission instantly instead of occupying a queue slot.
 func (c *Cache[V]) Lookup(key string) (V, Outcome, bool) {
@@ -239,6 +234,23 @@ func (c *Cache[V]) Lookup(key string) (V, Outcome, bool) {
 	}
 	var zero V
 	return zero, Miss, false
+}
+
+// Put stores a value the caller computed itself and counts the
+// computation as a miss, with no in-flight coalescing: for callers that
+// already run at most one computation per key (the samd scheduler admits
+// one leader per key). A key already resident keeps its value. The only
+// error is the encoder's.
+func (c *Cache[V]) Put(key string, v V) error {
+	enc, err := c.encode(v)
+	if err != nil {
+		return fmt.Errorf("memo: encode %s: %w", key, err)
+	}
+	c.insert(key, v, enc, true)
+	c.mu.Lock()
+	c.misses.Inc()
+	c.mu.Unlock()
+	return nil
 }
 
 // Get returns the value for key from the in-process tier only, without

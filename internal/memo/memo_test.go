@@ -260,6 +260,30 @@ func TestCacheInflightDedup(t *testing.T) {
 	}
 }
 
+// TestCachePut: a Put counts one miss, persists to the disk tier, is
+// served by later lookups, and never replaces a resident value.
+func TestCachePut(t *testing.T) {
+	enc, dec := intCodec()
+	dir := t.TempDir()
+	c := New(Config[int]{Dir: dir, Encode: enc, Decode: dec})
+	if err := c.Put("k", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("k", 8); err != nil {
+		t.Fatal(err)
+	}
+	if v, out, ok := c.Lookup("k"); !ok || v != 7 || out != Hit {
+		t.Fatalf("Lookup after Put = (%d, %v, %v), want (7, hit, true)", v, out, ok)
+	}
+	if ct := c.Counters(); ct.Misses != 2 || ct.Hits != 1 || ct.InflightDedup != 0 || ct.Entries != 1 {
+		t.Fatalf("counters %+v, want 2 misses, 1 hit, 1 entry", ct)
+	}
+	cold := New(Config[int]{Dir: dir, Encode: enc, Decode: dec})
+	if v, out, ok := cold.Lookup("k"); !ok || v != 7 || out != DiskHit {
+		t.Fatalf("cold Lookup = (%d, %v, %v), want (7, disk-hit, true)", v, out, ok)
+	}
+}
+
 func TestCachePanicsOnDirWithoutCodec(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sam/internal/runner"
-	"sam/internal/sim"
 	"sam/internal/stats"
 )
 
@@ -53,9 +52,8 @@ type Plane struct {
 }
 
 // Start stands the plane up: tracker (+ stall watchdog), optional HTTP
-// server, optional event log, with the sharded-engine counters and any
-// extra sources (memo caches, tool registries) attached to /metrics and
-// the domain-worker heartbeat installed. Returns (nil, nil) when both
+// server, optional event log, with any extra sources (memo caches, tool
+// registries) attached to /metrics. Returns (nil, nil) when both
 // flags are empty. stderr receives the one-line "serving on ..." notice
 // (nil silences it).
 func (c *CLI) Start(stderr io.Writer, sources ...func() *stats.Snapshot) (*Plane, error) {
@@ -74,10 +72,8 @@ func (c *CLI) Start(stderr io.Writer, sources ...func() *stats.Snapshot) (*Plane
 	}
 	p.Tracker = NewTracker(cfg)
 	p.stop = p.Tracker.Watch(2 * time.Second)
-	sim.SetDomainPulse(p.Tracker.DomainPulse)
 	if c.Listen != "" {
 		p.server = NewServer(p.Tracker)
-		p.server.AddSource(sim.ShardObsSnapshot)
 		for _, src := range sources {
 			p.server.AddSource(src)
 		}
@@ -125,7 +121,6 @@ func (p *Plane) shutdown() {
 	if p.stop != nil {
 		p.stop()
 	}
-	sim.SetDomainPulse(nil)
 	if p.server != nil {
 		_ = p.server.Close()
 	}

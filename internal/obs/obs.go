@@ -5,8 +5,8 @@
 //   - Tracker: run-lifecycle accounting fed by the worker pool's
 //     SweepObserver hooks (internal/runner) — job spans with queue-wait
 //     and run-duration histograms, memo hit/miss attribution, worker
-//     occupancy, and sharded-engine heartbeats — all recorded into an
-//     internal/stats registry guarded by the tracker's own mutex.
+//     occupancy — all recorded into an internal/stats registry guarded
+//     by the tracker's own mutex.
 //   - Server (server.go): an HTTP endpoint serving /metrics (Prometheus
 //     text exposition rendered live from registry snapshots), /progress
 //     (per-sweep JSON with ETA), /healthz, and /debug/pprof.
@@ -40,7 +40,6 @@ const (
 	cFailed   = "obs.jobs.failed"
 	cStalls   = "obs.stalls"
 	cMemoPfx  = "obs.memo." // + memo.Outcome.String(): miss/hit/disk-hit/dedup
-	cPulses   = "obs.domain.pulses"
 
 	hQueueNS = "obs.job.queue_ns"
 	hRunNS   = "obs.job.run_ns"
@@ -49,7 +48,6 @@ const (
 	gQueued     = "obs.jobs.queued"
 	gStalled    = "obs.jobs.stalled"
 	gWorkersMax = "obs.workers.max"
-	gDomWorkers = "obs.domain.workers"
 )
 
 // Config configures a Tracker. The zero value is valid: no event log,
@@ -107,7 +105,6 @@ type Tracker struct {
 	queuedN   int
 	stalled   int // running jobs a watchdog pass has flagged
 	maxWorker int // highest observed pool worker slot + 1
-	domBeats  map[int]time.Time
 	logErr    error
 }
 
@@ -123,20 +120,19 @@ func NewTracker(cfg Config) *Tracker {
 		cfg.StallFloor = 30 * time.Second
 	}
 	t := &Tracker{
-		cfg:      cfg,
-		reg:      stats.NewRegistry(),
-		scopes:   make(map[string]*sweepScope),
-		domBeats: make(map[int]time.Time),
+		cfg:    cfg,
+		reg:    stats.NewRegistry(),
+		scopes: make(map[string]*sweepScope),
 	}
 	t.start = cfg.Clock()
 	// Register the fixed-name instruments up front so even an idle scrape
 	// exposes the full family set.
-	for _, c := range []string{cEnqueued, cStarted, cFinished, cFailed, cStalls, cPulses} {
+	for _, c := range []string{cEnqueued, cStarted, cFinished, cFailed, cStalls} {
 		t.reg.Counter(c)
 	}
 	t.reg.Histogram(hQueueNS, stats.DurationBounds...)
 	t.reg.Histogram(hRunNS, stats.DurationBounds...)
-	for _, g := range []string{gInflight, gQueued, gStalled, gWorkersMax, gDomWorkers} {
+	for _, g := range []string{gInflight, gQueued, gStalled, gWorkersMax} {
 		t.reg.Gauge(g)
 	}
 	return t
@@ -333,15 +329,6 @@ func (t *Tracker) Single(label string) func(err error) {
 	return func(err error) { sp.JobFinished(0, 0, err) }
 }
 
-// DomainPulse is the sharded engine's lane-worker heartbeat (wired
-// through sim.SetDomainPulse): one call per executed replay batch.
-func (t *Tracker) DomainPulse(worker int) {
-	t.mu.Lock()
-	t.reg.Counter(cPulses).Inc()
-	t.domBeats[worker] = t.cfg.Clock()
-	t.mu.Unlock()
-}
-
 // medianLocked returns the median completed run duration as the upper
 // bound of its obs.job.run_ns bucket: at most 2.5x the true median (see
 // stats.DurationBounds), 0 with no completions. Caller holds t.mu.
@@ -418,8 +405,7 @@ func (t *Tracker) Watch(interval time.Duration) (stop func()) {
 }
 
 // Snapshot freezes the tracker's registry, refreshing the derived gauges
-// (inflight, queued, stalled-running, worker high-water, live domain
-// workers) first. Safe to call concurrently with job callbacks.
+// (inflight, queued, stalled-running, worker high-water) first. Safe to call concurrently with job callbacks.
 func (t *Tracker) Snapshot() *stats.Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -427,7 +413,6 @@ func (t *Tracker) Snapshot() *stats.Snapshot {
 	t.reg.Gauge(gQueued).Set(float64(t.queuedN))
 	t.reg.Gauge(gStalled).Set(float64(t.stalled))
 	t.reg.Gauge(gWorkersMax).Set(float64(t.maxWorker))
-	t.reg.Gauge(gDomWorkers).Set(float64(len(t.domBeats)))
 	return t.reg.Snapshot()
 }
 

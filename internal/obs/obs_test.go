@@ -207,7 +207,7 @@ func TestConcurrentScrape(t *testing.T) {
 	tr := obs.NewTracker(obs.Config{Log: io.Discard})
 	srv := obs.NewServer(tr)
 	srv.AddSource(func() *stats.Snapshot {
-		return &stats.Snapshot{Counters: map[string]uint64{"sim.shard.epochs": 42}}
+		return &stats.Snapshot{Counters: map[string]uint64{"example.source.events": 42}}
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -222,7 +222,6 @@ func TestConcurrentScrape(t *testing.T) {
 			for i := 0; i < jobsPer; i++ {
 				span.JobStarted(i, w)
 				span.JobAnnotate(i, "memo", "miss")
-				tr.DomainPulse(w)
 				span.JobFinished(i, w, nil)
 			}
 		}(w)
@@ -347,7 +346,7 @@ func TestMetricsParse(t *testing.T) {
 	finish(nil)
 	srv := obs.NewServer(tr)
 	srv.AddSource(func() *stats.Snapshot {
-		return &stats.Snapshot{Counters: map[string]uint64{"sim.shard.runs": 3, "sim.shard.epochs": 9}}
+		return &stats.Snapshot{Counters: map[string]uint64{"example.source.runs": 3, "example.source.events": 9}}
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -370,7 +369,7 @@ func TestMetricsParse(t *testing.T) {
 		"# TYPE sam_obs_job_run_ns histogram",
 		"sam_obs_job_run_ns_bucket{le=\"+Inf\"} 1",
 		"# TYPE sam_obs_jobs_inflight gauge",
-		"sam_sim_shard_epochs_total 9",
+		"sam_example_source_events_total 9",
 		"sam_obs_rate_jobs_per_s",
 	} {
 		if !strings.Contains(body, want) {
@@ -453,4 +452,53 @@ func TestLiveSpansScopeWideIndices(t *testing.T) {
 		t.Fatalf("CheckStalls after all finished = %d, want 0", n)
 	}
 	check(obs.SweepProgress{Sweep: "s", Total: 5, Done: 4, Failed: 1}, 0)
+}
+
+// TestCancelledMapClosesSkippedJobs cancels an observed 4-item Map while
+// item 1 runs. Items 2 and 3 never start, yet the tracker must not count
+// them queued: Map closes them with the context's error, so /progress,
+// the queued gauge and the event log all show every job finished.
+func TestCancelledMapClosesSkippedJobs(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		var log bytes.Buffer
+		tr := obs.NewTracker(obs.Config{Log: &log})
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := runner.Map(ctx, []int{0, 1, 2, 3}, runner.Options{Workers: workers, Observer: tr.Hooks("cancel")},
+			func(_ context.Context, i, _ int) (int, error) {
+				if i == 1 {
+					cancel()
+				}
+				return i, nil
+			})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Map error %v, want context.Canceled", workers, err)
+		}
+		rep := tr.Progress()
+		if len(rep.Sweeps) != 1 {
+			t.Fatalf("workers=%d: %d sweeps in progress report", workers, len(rep.Sweeps))
+		}
+		if sp := rep.Sweeps[0]; sp.Queued != 0 || sp.Running != 0 || sp.Done+sp.Failed != 4 || sp.ETANS != 0 {
+			t.Errorf("workers=%d: progress after cancel %+v, want every job closed", workers, sp)
+		}
+		snap := tr.Snapshot()
+		if q := snap.Gauges["obs.jobs.queued"].Cur; q != 0 {
+			t.Errorf("workers=%d: obs.jobs.queued = %v after cancel", workers, q)
+		}
+		if s, f := snap.Counters["obs.jobs.started"], snap.Counters["obs.jobs.finished"]+snap.Counters["obs.jobs.failed"]; s != 4 || f != 4 {
+			t.Errorf("workers=%d: %d started, %d finished or failed; want 4 and 4", workers, s, f)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ends := 0
+		for _, ev := range parseLog(t, log.Bytes()) {
+			if ev.Ev == "finish" || ev.Ev == "fail" {
+				ends++
+			}
+		}
+		if ends != 4 {
+			t.Errorf("workers=%d: event log closes %d jobs, want 4", workers, ends)
+		}
+	}
 }

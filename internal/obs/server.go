@@ -12,12 +12,12 @@ import (
 	"sam/internal/stats"
 )
 
-// Server exposes one Tracker (plus any extra snapshot sources — the memo
-// cache, the sharded-engine counters) over HTTP:
+// Server exposes one Tracker (plus any extra snapshot sources such as the
+// memo cache) over HTTP:
 //
 //	/metrics      Prometheus text exposition (namespace "sam"), rendered
 //	              live from merged registry snapshots plus derived gauges
-//	              (memo hit ratio, scrape-to-scrape jobs/s and epochs/s).
+//	              (memo hit ratio, scrape-to-scrape jobs/s).
 //	/progress     Tracker.Progress as JSON — per-sweep job states + ETA.
 //	/healthz      200 "ok", or 503 "stalled" while the watchdog sees
 //	              stalled running jobs.
@@ -84,7 +84,7 @@ func (s *Server) merged() *stats.Snapshot {
 	for _, src := range sources {
 		// Source snapshots are independent registries; a bounds mismatch
 		// would mean two sources reused one histogram name, which the
-		// fixed instrument naming (obs.*, memo.*, sim.shard.*) rules out.
+		// fixed instrument naming (obs.*, memo.*) rules out.
 		_ = out.Merge(src())
 	}
 	now := time.Now()
@@ -112,16 +112,10 @@ func (s *Server) merged() *stats.Snapshot {
 	if lookups > 0 {
 		out.Gauges["obs.memo.hit_ratio"] = stats.GaugeSnap{Cur: float64(hits) / float64(lookups)}
 	}
-	// Scrape-to-scrape rates. The first scrape has no baseline interval,
-	// so rates start at 0 rather than reporting since-process-start.
+	// Scrape-to-scrape rate. The first scrape has no baseline interval,
+	// so the rate starts at 0 rather than reporting since-process-start.
 	if !first && elapsed > 0 {
-		per := func(name string) float64 {
-			return float64(d.Counters[name]) / elapsed.Seconds()
-		}
-		out.Gauges["obs.rate.jobs_per_s"] = stats.GaugeSnap{Cur: per(cFinished)}
-		if _, ok := out.Counters["sim.shard.epochs"]; ok {
-			out.Gauges["obs.rate.epochs_per_s"] = stats.GaugeSnap{Cur: per("sim.shard.epochs")}
-		}
+		out.Gauges["obs.rate.jobs_per_s"] = stats.GaugeSnap{Cur: float64(d.Counters[cFinished]) / elapsed.Seconds()}
 	}
 	return out
 }

@@ -15,7 +15,8 @@
 //   - Full error aggregation: every failing item's error is collected and
 //     returned via errors.Join, not just the first.
 //   - Cancellation: once ctx is cancelled no new item starts; in-flight
-//     items finish and the joined error includes ctx's cause.
+//     items finish and the joined error includes ctx's cause. An observed
+//     sweep closes every item that never started with ctx's error.
 //   - Panic containment: a panicking item is converted into that item's
 //     error (with its stack) instead of crashing the whole sweep.
 //
@@ -82,8 +83,10 @@ type SweepSpan interface {
 	// function. It may arrive any time between JobStarted and JobFinished.
 	JobAnnotate(i int, key, value string)
 	// JobFinished: item i completed; err is the item's error (nil on
-	// success). Items skipped by cancellation never start and never
-	// finish.
+	// success). Items skipped by cancellation get a synthetic JobStarted
+	// and JobFinished with the context's error on worker 0 once the
+	// sweep's workers have stopped, so every item the span saw enqueued
+	// is closed.
 	JobFinished(i, worker int, err error)
 }
 
@@ -138,8 +141,10 @@ func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(ctx con
 	errs := make([]error, n)
 	workers := opts.workers(n)
 	var span SweepSpan
+	var started []bool // observed sweeps only: which items ran
 	if opts.Observer != nil {
 		span = opts.Observer.SweepStarted(n)
+		started = make([]bool, n)
 	}
 	var (
 		wg         sync.WaitGroup
@@ -160,6 +165,7 @@ func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(ctx con
 	// in runner_test.go enforces.
 	runItem := func(ctx context.Context, i, w int) {
 		if span != nil {
+			started[i] = true
 			span.JobStarted(i, w)
 			ctx = context.WithValue(ctx, jobCtxKey{}, jobRef{span, i})
 		}
@@ -177,6 +183,7 @@ func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(ctx con
 		for i := 0; i < n && ctx.Err() == nil; i++ {
 			runItem(ctx, i, 0)
 		}
+		closeSkipped(ctx, span, started)
 		return res, joinWith(ctx, errs)
 	}
 	// Chunked dispatch: hand each worker a contiguous index range so the
@@ -219,7 +226,23 @@ feed:
 	}
 	close(chunks)
 	wg.Wait()
+	closeSkipped(ctx, span, started)
 	return res, joinWith(ctx, errs)
+}
+
+// closeSkipped closes each item a cancelled sweep never started with a
+// synthetic start and finish carrying ctx's error, so an observer does not
+// count it as queued forever.
+func closeSkipped(ctx context.Context, span SweepSpan, started []bool) {
+	if span == nil || ctx.Err() == nil {
+		return
+	}
+	for i, ok := range started {
+		if !ok {
+			span.JobStarted(i, 0)
+			span.JobFinished(i, 0, ctx.Err())
+		}
+	}
 }
 
 // joinWith joins the per-item errors plus the context cause, if any.

@@ -4,7 +4,8 @@
 // multiplexes them onto one bounded worker pool with per-tenant quotas,
 // priority classes, and content-addressed dedup — identical design ×
 // config × seed submitted by different tenants runs once (memo.Fingerprint
-// keys + the singleflight inside internal/memo), and repeated submissions
+// keys; the scheduler attaches identical submissions to the one running
+// leader as followers), and repeated submissions
 // are served from the job-result cache without occupying a queue slot.
 //
 // The package splits into four layers:

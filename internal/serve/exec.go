@@ -21,9 +21,9 @@ import (
 //     daemon that reuses a samfig -cache-dir starts warm.
 //   - results (memo.Cache[jobResult]) caches whole job payloads under the
 //     submission's content address. Its Lookup feeds admission-time
-//     instant serves; its Do (with the built-in singleflight) covers the
-//     residual race where an identical job is resubmitted between a
-//     leader's retirement and its result landing.
+//     instant serves; each leader Puts its payload before the scheduler
+//     retires it, so an identical submission either follows the running
+//     leader or hits the cache, and no two leaders share a key.
 //
 // Determinism contract: every payload byte is derived from sweeps that
 // are worker-count-invariant (runner.Map/Grid ordered results) and from
@@ -86,26 +86,19 @@ func (e *executor) resultStats() *stats.Snapshot {
 	return out
 }
 
-// run executes one leader job through the result cache. The returned memo
-// string attributes the payload: the result tier's outcome when it served
-// or deduplicated the job, otherwise the run tier's outcome (so a bench
-// job whose simulation was already cached by a figure sweep reports
-// "hit" even though the job itself was new).
+// run computes one leader job and stores its payload in the result cache
+// (a result-cache miss). The returned memo string is the run tier's
+// outcome, so a bench job whose simulation was already cached by a figure
+// sweep reports "hit" even though the job itself was new.
 func (e *executor) run(ctx context.Context, j *job) (jobResult, string, error) {
-	inner := memo.Miss
-	res, out, err := e.results.Do(j.key, func() (jobResult, error) {
-		r, innerOut, err := e.compute(ctx, j)
-		inner = innerOut
-		return r, err
-	})
+	res, out, err := e.compute(ctx, j)
+	if err == nil {
+		err = e.results.Put(j.key, res)
+	}
 	if err != nil {
 		return jobResult{}, "", err
 	}
-	attribution := out
-	if out == memo.Miss {
-		attribution = inner
-	}
-	return res, attribution.String(), nil
+	return res, out.String(), nil
 }
 
 // par builds the inner-sweep parallelism options for compound jobs.

@@ -412,11 +412,23 @@ func TestListWhileRetiring(t *testing.T) {
 	if err := <-listed; err != nil {
 		t.Fatal(err)
 	}
-	if l := s.List(); len(l) != retain || l[retain-1].ID != ids[jobs-1] {
+	l := s.List()
+	if len(l) != retain || l[retain-1].ID != ids[jobs-1] {
 		t.Fatalf("after drain listing = %+v, want the last %d jobs", l, retain)
 	}
-	if _, err := s.Get(ids[0]); err != errExpired {
-		t.Fatalf("Get(dropped %s) err = %v, want errExpired", ids[0], err)
+	// The table keeps the last jobs to finish, not the last submitted: a
+	// worker descheduled on j-000001 can finish it after the others. The
+	// first ID the listing lacks is the oldest dropped one.
+	held := make(map[string]bool, len(l))
+	for _, st := range l {
+		held[st.ID] = true
+	}
+	dropped := ids[0]
+	for i := 1; held[dropped]; i++ {
+		dropped = ids[i]
+	}
+	if _, err := s.Get(dropped); err != errExpired {
+		t.Fatalf("Get(dropped %s) err = %v, want errExpired", dropped, err)
 	}
 	if j, err := s.Get(ids[jobs-1]); err != nil || j.state != StateDone {
 		t.Fatalf("Get(retained %s) = %v, %v", ids[jobs-1], j, err)

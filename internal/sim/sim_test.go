@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"sam/internal/design"
+	"sam/internal/etrace"
+	"sam/internal/fault"
 	"sam/internal/imdb"
+	"sam/internal/mc"
 	"sam/internal/sql"
 	"sam/internal/trace"
 )
@@ -670,5 +673,115 @@ func TestJoinDuplicateKeysMatchNestedLoop(t *testing.T) {
 		if r.Rows != want || r.ProjChecks != checks {
 			t.Fatalf("%s: rows=%d checks=%#x, nested loop rows=%d checks=%#x", q.sql, r.Rows, r.ProjChecks, want, checks)
 		}
+	}
+}
+
+// TestMultiChannelSamplerReconciles pins the sampler contract on a
+// 4-channel system: completions arrive out of order across channels, so
+// the sampler runs on the ratcheted high-water completion clock, yet the
+// series stays strictly increasing and its final cumulative totals equal
+// the RunStats exactly.
+func TestMultiChannelSamplerReconciles(t *testing.T) {
+	d := design.New(design.Baseline, design.Options{})
+	d.Mem.Geometry.Channels = 4
+	s := NewSystem(d)
+	sp := etrace.NewSampler(256)
+	s.AttachEventTrace(etrace.NewBuffer(0), sp)
+	s.AddTable(imdb.NewTable(imdb.Ta(2048), 0xC0DE), false)
+	r, err := s.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := r.Stats
+	if len(sp.Samples) < 2 {
+		t.Fatalf("sampler recorded %d samples", len(sp.Samples))
+	}
+	for i := 1; i < len(sp.Samples); i++ {
+		if sp.Samples[i].At <= sp.Samples[i-1].At {
+			t.Fatalf("sample times not strictly increasing at %d: %d then %d",
+				i, sp.Samples[i-1].At, sp.Samples[i].At)
+		}
+	}
+	last := sp.Samples[len(sp.Samples)-1]
+	if last.At > int64(rs.Cycles) {
+		t.Fatalf("last sample at %d beyond run end %d", last.At, rs.Cycles)
+	}
+	if last.Ctl != rs.Controller {
+		t.Fatalf("final sample controller totals diverge from RunStats:\n%+v\n%+v", last.Ctl, rs.Controller)
+	}
+	if last.Dev.Acts != rs.Device.Acts || last.Dev.Reads != rs.Device.Reads ||
+		last.Dev.Writes != rs.Device.Writes || last.Dev.Refs != rs.Device.Refs ||
+		last.Dev.BusBusyCycles != rs.Device.BusBusyCycles {
+		t.Fatalf("final sample device totals diverge from RunStats:\n%+v\n%+v", last.Dev, rs.Device)
+	}
+	if !reflect.DeepEqual(last.Dev.PerBank, rs.Device.PerBank) {
+		t.Fatal("final sample per-bank totals diverge from RunStats")
+	}
+}
+
+// retryFaults is a two-chip persistent map plus a transient rate on an
+// SSC-DSD layout: dead chip + stuck DQ exceed the codec's correction
+// radius, so a run exercises the full DUE -> retry -> poison path.
+func retryFaults() *FaultModel {
+	return &FaultModel{
+		Seed:       0xD1FF5EED,
+		Rate:       1e-3,
+		DeadChips:  []fault.ChipFault{{Rank: -1, Chip: 2}},
+		StuckDQs:   []fault.StuckDQ{{Rank: -1, Chip: 5, DQ: 1, Value: 1}},
+		MaxRetries: 1,
+	}
+}
+
+// TestWarmSystemRetryBudget is the regression test for the stale
+// retry-budget bug: SetMaxRetries mutates controller state in place, and
+// the engine used to apply it only for positive budgets — so running a
+// budget-5 campaign point and then a budget-0 point ("poison immediately
+// on the first DUE", per mc.Config) on the same warm system silently ran
+// the second point with a budget of 5.
+func TestWarmSystemRetryBudget(t *testing.T) {
+	d := design.New(design.SAMEn, design.Options{Gran: design.Gran4})
+	s := NewSystem(d)
+	s.AddTable(imdb.NewTable(imdb.Ta(1024), 0xBEEF), false)
+	s.AddTable(imdb.NewTable(imdb.Tb(1024), 0xBEF0), false)
+	// Each campaign point scans a table the warm caches have not seen, so
+	// every point drives real DRAM bursts through the injector.
+	run := func(fm *FaultModel, query string) RunStats {
+		s.Faults = fm
+		r, err := s.RunQuery(query, sel25())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Stats
+	}
+
+	budget5 := retryFaults()
+	budget5.MaxRetries = 5
+	a := run(budget5, "SELECT SUM(f9) FROM Ta WHERE f10 > x")
+	if a.Reliability.DUEs == 0 || a.Controller.Retries == 0 {
+		t.Fatalf("budget-5 run produced no DUE/retry traffic (DUEs=%d retries=%d): fault model too weak for the regression",
+			a.Reliability.DUEs, a.Controller.Retries)
+	}
+
+	budget0 := retryFaults()
+	budget0.MaxRetries = 0
+	b := run(budget0, "SELECT SUM(f9) FROM Tb WHERE f10 > x")
+	if b.Reliability.DUEs == 0 {
+		t.Fatalf("budget-0 run produced no DUEs")
+	}
+	if b.Controller.Retries != 0 {
+		t.Fatalf("budget-0 warm run retried %d times: the previous run's budget leaked into it", b.Controller.Retries)
+	}
+	if b.Controller.Poisoned == 0 {
+		t.Fatal("budget-0 run poisoned nothing: first DUEs must poison immediately")
+	}
+
+	// A fault-free run restores the controller default, so later fault runs
+	// that rely on it start from a known budget.
+	s.Faults = nil
+	if _, err := s.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Controller.Config().MaxRetries, mc.DefaultConfig().MaxRetries; got != want {
+		t.Fatalf("fault-free run left retry budget %d, want default %d", got, want)
 	}
 }

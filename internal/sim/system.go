@@ -55,15 +55,7 @@ type System struct {
 	// Audit enables end-to-end protocol checking (slow; tests only).
 	Audit bool
 
-	// ShardWorkers selects the run engine's execution mode: 0 (default)
-	// auto-shards multi-channel systems across min(Channels, GOMAXPROCS)
-	// per-channel event-domain workers and keeps single-channel systems
-	// serial; 1 forces the serial engine; >= 2 forces the sharded engine
-	// with at most that many workers (clamped to the channel count).
-	// Sharded runs produce bit-identical RunStats to serial runs for any
-	// worker count (see shard.go's determinism contract); only the windowed
-	// sampler's observation points differ (epoch barriers instead of every
-	// completion).
+	// ShardWorkers is ignored (every run is serial); kept only because perfbench sets it.
 	ShardWorkers int
 
 	// Faults, when set and active, routes every data-carrying DRAM burst of

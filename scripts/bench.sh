@@ -23,14 +23,12 @@ trap 'rm -f "$RAW"' EXIT
 go test -run '^$' -bench . -benchmem -benchtime "${MICRO_BENCHTIME:-1s}" \
     ./internal/mc ./internal/ecc ./internal/fault ./internal/etrace ./internal/design ./internal/cache | tee "$RAW"
 go test -run '^$' -bench . -benchmem -benchtime 1x . | tee -a "$RAW"
-# The serial-vs-parallel contrast and the serial-vs-sharded engine
-# contrast are ratios of two wall-clock times, and at one iteration each
-# the ratio is mostly noise (the 1x run above leaves a large heap behind,
-# too). Re-run the pairs in a fresh process at a real iteration count; the
-# parser keeps the later, better-sampled entries. The multi-channel
-# scaling benchmark rides along: its ns/op is the headline the sharded
-# engine is measured against, so it also deserves real sampling.
-go test -run '^$' -bench 'Parallelism|MultiChannelSharded|ExtensionMultiChannel' \
+# The serial-vs-parallel contrast is a ratio of two wall-clock times, and
+# at one iteration the ratio is mostly noise (the 1x run above leaves a
+# large heap behind, too). Re-run the pair in a fresh process at a real
+# iteration count; the parser keeps the later, better-sampled entries. The
+# multi-channel scaling benchmark rides along so its ns/op is sampled too.
+go test -run '^$' -bench 'Parallelism|ExtensionMultiChannel' \
     -benchmem -benchtime "${PAR_BENCHTIME:-5x}" . | tee -a "$RAW"
 # The headline figure benchmarks deserve real sampling too: at 1x their
 # ns/op carries the whole warm-up (table generation, first-touch paging).
