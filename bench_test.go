@@ -461,7 +461,7 @@ func BenchmarkExtensionMultiChannel(b *testing.B) {
 // the event ring and windowed sampler attached: every request lifecycle
 // and DRAM command is traced and every window boundary snapshots the
 // controller. The allocs/op gate in scripts/alloc_budget.txt holds the
-// sampled path to per-run construction costs — recordSample must not
+// sampled path to per-run construction costs — engine.sample must not
 // allocate per sample (it reuses the system's scratch DeviceStats).
 func BenchmarkSimulatorThroughputSampled(b *testing.B) {
 	w := benchWorkload()

@@ -16,9 +16,10 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -26,8 +27,8 @@ import (
 	"sam/internal/core"
 	"sam/internal/design"
 	"sam/internal/etrace"
-	"sam/internal/imdb"
 	"sam/internal/obs"
+	"sam/internal/outfile"
 	"sam/internal/prof"
 	"sam/internal/sim"
 	"sam/internal/sql"
@@ -77,22 +78,20 @@ func (sh *shell) sessionSnapshot() *stats.Snapshot {
 	return out
 }
 
-// system lazily builds (and caches) a system per design so repeated queries
-// see warm caches, like a resident database would.
+// system lazily builds (and caches) a row-store system per design so
+// repeated queries see warm caches, like a resident database would.
 func (sh *shell) system(kind design.Kind) *sim.System {
 	if s, ok := sh.systems[kind]; ok {
 		return s
 	}
-	d := design.New(kind, design.Options{})
-	s := sim.NewSystem(d)
-	s.AddTable(imdb.NewTable(imdb.Ta(sh.workload.TaRecords), sh.workload.Seed), false)
-	s.AddTable(imdb.NewTable(imdb.Tb(sh.workload.TbRecords), sh.workload.Seed+1), false)
+	s := core.NewSystem(kind, design.Options{}, sh.workload, false)
 	sh.systems[kind] = s
 	return s
 }
 
+// kindByName resolves a design name, ignoring case.
 func kindByName(name string) (design.Kind, bool) {
-	for _, k := range append([]design.Kind{design.Baseline, design.Ideal}, design.AllEvaluated()...) {
+	for _, k := range core.AllKinds() {
 		if strings.EqualFold(k.String(), name) {
 			return k, true
 		}
@@ -116,7 +115,8 @@ func (sh *shell) run(line string) {
 		sh.printf("                     GS-DRAM, GS-DRAM-ecc, RC-NVM-bit, RC-NVM-wd)\n")
 		sh.printf("  \\compare <sql>     run on baseline and the current design, report speedup\n")
 		sh.printf("  \\tables            show loaded tables\n")
-		sh.printf("  \\bench <name>      run a Table 3 benchmark query (Q1..Qs6)\n")
+		sh.printf("  \\bench <name>      run a Table 3 benchmark query (Q1..Qs6) as samsim -bench does:\n")
+		sh.printf("                     on a cold system, with the query class's layout and scan rules\n")
 		sh.printf("  \\trace <file> <sql> run with cycle-accurate tracing, write Perfetto JSON\n")
 		sh.printf("  \\quit              exit\n")
 	case strings.HasPrefix(line, `\design`):
@@ -146,7 +146,10 @@ func (sh *shell) run(line string) {
 		for _, b := range core.Benchmark() {
 			if strings.EqualFold(b.Name, name) {
 				sh.printf("%s: %s\n", b.Name, b.SQL)
-				sh.query(b.SQL, b.Params)
+				finish := sh.plane.Single("bench")
+				r, err := core.RunOne(sh.kind, design.Options{}, sh.workload, b)
+				finish(err)
+				sh.result(r, err)
 				return
 			}
 		}
@@ -154,14 +157,20 @@ func (sh *shell) run(line string) {
 	case strings.HasPrefix(line, `\`):
 		sh.printf("unknown command %q (try \\help)\n", line)
 	default:
-		sh.query(line, sql.Params{})
+		sh.query(line)
 	}
 }
 
-func (sh *shell) query(text string, params sql.Params) {
+func (sh *shell) query(text string) {
 	finish := sh.plane.Single("query")
-	r, err := sh.system(sh.kind).RunQuery(text, params)
+	r, err := sh.system(sh.kind).RunQuery(text, sql.Params{})
 	finish(err)
+	sh.result(r, err)
+}
+
+// result prints one run's rows, aggregates and memory-system cost on the
+// current design, or its error.
+func (sh *shell) result(r *sim.QueryResult, err error) {
 	if err != nil {
 		sh.printf("error: %v\n", err)
 		return
@@ -186,10 +195,8 @@ const traceWindow = 2048
 // cost.
 func (sh *shell) trace(file, text string) {
 	s := sh.system(sh.kind)
-	buf := etrace.NewBuffer(0)
-	buf.Name = sh.kind.String()
-	sp := etrace.NewSampler(traceWindow)
-	sp.Name = sh.kind.String()
+	tf := etrace.Flags{Out: file, Window: traceWindow}
+	buf, sp := tf.New(sh.kind.String())
 	s.AttachEventTrace(buf, sp)
 	defer s.AttachEventTrace(nil, nil)
 	finish := sh.plane.Single("trace")
@@ -200,23 +207,10 @@ func (sh *shell) trace(file, text string) {
 		return
 	}
 	sh.record(r.Stats)
-	f, err := os.Create(file)
-	if err != nil {
-		sh.printf("error: %v\n", err)
-		return
-	}
-	if err := etrace.WriteChrome(f, []*etrace.Buffer{buf}, []*etrace.Sampler{sp}); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err != nil {
-		sh.printf("error: %v\n", err)
-		return
-	}
 	sh.printf("rows %d, %d cycles [%s]\n", r.Rows, r.Stats.Cycles, sh.kind)
-	sh.printf("event trace: %d events (%d dropped), %d samples -> %s\n",
-		buf.Len(), buf.Dropped(), len(sp.Samples), file)
+	if err := tf.Write(sh.out, []*etrace.Buffer{buf}, []*etrace.Sampler{sp}); err != nil {
+		sh.printf("error: %v\n", err)
+	}
 }
 
 func (sh *shell) compare(text string) {
@@ -244,64 +238,55 @@ func (sh *shell) compare(text string) {
 }
 
 func main() {
-	designName := flag.String("design", "SAM-en", "initial design")
-	ta := flag.Int("ta", 4096, "Ta records")
-	tb := flag.Int("tb", 32768, "Tb records")
-	statsJSON := flag.String("stats-json", "", "write the session's merged run metrics as JSON on exit ('-' for stdout)")
-	startProf := prof.RegisterFlags(flag.CommandLine)
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	// fail closes the (idempotent, nil-safe) plane first: os.Exit skips
-	// the deferred Close, and an aborted session should still summarize
-	// its event log.
-	var plane *obs.Plane
-	fail := func(err error) {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "samdb:", err)
-		_ = plane.Close()
 		os.Exit(1)
 	}
+}
+
+// run is the whole command: it parses args (exiting 2 on a bad flag, 0 on
+// -h), then reads shell lines from stdin until EOF or \quit, writing to
+// stdout. The profiles and the observability plane are closed on every
+// return path.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("samdb", flag.ExitOnError)
+	designName := fs.String("design", "SAM-en", "initial design")
+	ta := fs.Int("ta", 4096, "Ta records")
+	tb := fs.Int("tb", 32768, "Tb records")
+	statsJSON := fs.String("stats-json", "", "write the session's merged run metrics as JSON on exit ('-' for stdout)")
+	startProf := prof.RegisterFlags(fs)
+	obsFlags := obs.RegisterFlags(fs)
+	_ = fs.Parse(args)
 
 	stopProf, err := startProf()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
+	defer func() { err = errors.Join(err, stopProf()) }()
 
 	kind, ok := kindByName(*designName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "samdb: unknown design %q\n", *designName)
-		os.Exit(1)
+		return fmt.Errorf("unknown design %q", *designName)
 	}
 	sh := newShell(kind, core.Workload{TaRecords: *ta, TbRecords: *tb, Seed: 0xDB})
+	sh.out.Reset(stdout)
 
-	plane, err = obsFlags.Start(os.Stderr)
+	sh.plane, err = obsFlags.Start(os.Stderr)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	sh.plane = plane
-	plane.AddSource(sh.sessionSnapshot)
-	defer func() {
-		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samdb: obs:", err)
-		}
-	}()
+	sh.plane.AddSource(sh.sessionSnapshot)
+	defer func() { err = errors.Join(err, sh.plane.Close()) }()
 
-	interactive := false
-	if fi, err := os.Stdin.Stat(); err == nil && fi.Mode()&os.ModeCharDevice != 0 {
-		interactive = true
-	}
+	fi, serr := os.Stdin.Stat()
+	interactive := serr == nil && fi.Mode()&os.ModeCharDevice != 0
 	if interactive {
-		fmt.Printf("samdb — SQL over the SAM memory simulator (design: %s). \\help for commands.\n", kind)
+		fmt.Fprintf(stdout, "samdb — SQL over the SAM memory simulator (design: %s). \\help for commands.\n", kind)
 	}
 	sc := bufio.NewScanner(os.Stdin)
 	for {
 		if interactive {
-			fmt.Print("samdb> ")
+			fmt.Fprint(stdout, "samdb> ")
 		}
 		if !sc.Scan() {
 			break
@@ -313,22 +298,11 @@ func main() {
 		sh.run(line)
 	}
 
-	if *statsJSON != "" {
-		out := struct {
-			Queries int             `json:"queries"`
-			Metrics *stats.Snapshot `json:"metrics"`
-		}{sh.queries, sh.sessionSnapshot()}
-		enc, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		enc = append(enc, '\n')
-		if *statsJSON == "-" {
-			if _, err := os.Stdout.Write(enc); err != nil {
-				fail(err)
-			}
-		} else if err := os.WriteFile(*statsJSON, enc, 0o644); err != nil {
-			fail(err)
-		}
+	if *statsJSON == "" {
+		return nil
 	}
+	return outfile.JSON(*statsJSON, stdout, struct {
+		Queries int             `json:"queries"`
+		Metrics *stats.Snapshot `json:"metrics"`
+	}{sh.queries, sh.sessionSnapshot()})
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -112,5 +113,35 @@ func TestKindByName(t *testing.T) {
 	}
 	if _, ok := kindByName("nope"); ok {
 		t.Fatal("bogus design resolved")
+	}
+}
+
+// TestShellBenchMatchesRunOne pins that \bench runs a benchmark as defined,
+// like samsim -bench: on a cold system, so a repeat reports the same cost,
+// with the Qs full-record-scan rule (SAM-en Qs1) and the ideal design's
+// column store for Q-class queries (ideal Q3).
+func TestShellBenchMatchesRunOne(t *testing.T) {
+	w := core.Workload{TaRecords: 512, TbRecords: 2048, Seed: 0xDB}
+	for _, c := range []struct {
+		kind  design.Kind
+		query string
+	}{{design.SAMEn, "Qs1"}, {design.Ideal, "Q3"}} {
+		q, ok := core.BenchQueryByName(c.query)
+		if !ok {
+			t.Fatalf("no benchmark query %s", c.query)
+		}
+		want, err := core.RunOne(c.kind, design.Options{}, w, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := newShell(c.kind, w)
+		var buf bytes.Buffer
+		sh.out.Reset(&buf)
+		sh.run(`\bench ` + c.query)
+		sh.run(`\bench ` + c.query)
+		line := fmt.Sprintf("\n%d cycles, %d requests", want.Stats.Cycles, want.Stats.MemRequests)
+		if n := strings.Count(buf.String(), line); n != 2 {
+			t.Errorf("%v \\bench %s: %d of 2 runs report %q; output:\n%s", c.kind, c.query, n, line, buf.String())
+		}
 	}
 }

@@ -14,19 +14,19 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
 
 	"sam/internal/core"
-	"sam/internal/design"
-	"sam/internal/etrace"
 	"sam/internal/memo"
 	"sam/internal/obs"
+	"sam/internal/outfile"
 	"sam/internal/prof"
 	"sam/internal/sim"
 	"sam/internal/stats"
@@ -52,26 +52,32 @@ type metricsFile struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, table2, table3, fig12, fig13, fig14a, fig14b, fig14c, fig15a..fig15i, reliability, all")
-	taRecords := flag.Int("ta", 0, "records in the wide table Ta (0 = default)")
-	tbRecords := flag.Int("tb", 0, "records in the narrow table Tb (0 = default)")
-	sweepRecords := flag.Int("sweep-records", 2048, "table records per Fig.15 sweep point")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	small := flag.Bool("small", false, "use the small (test-scale) workload")
-	workers := flag.Int("workers", 0, "max parallel simulations per sweep (0 = GOMAXPROCS, 1 = serial)")
-	progress := flag.Bool("progress", false, "report per-sweep progress on stderr")
-	metricsDir := flag.String("metrics-dir", "", "dump per-figure run metrics as JSON files into this directory")
-	cacheDir := flag.String("cache-dir", "", "persist memoized run results in this directory (warm re-runs skip simulation)")
-	noCache := flag.Bool("no-cache", false, "disable run memoization entirely (overrides -cache-dir)")
-	relOut := flag.String("reliability-out", "", "write the reliability campaign summary as JSON to this file")
-	traceOut := flag.String("trace-out", "", "write a side-by-side Chrome/Perfetto event trace of -trace-design vs the baseline, then exit (skips -exp)")
-	traceBench := flag.String("trace-bench", "Q3", "benchmark query to trace with -trace-out")
-	traceDesign := flag.String("trace-design", "SAM-en", "design to trace against the baseline")
-	traceWindow := flag.Int64("trace-window", 2048, "sampling window for the trace time series (bus cycles)")
-	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity per design; oldest events drop beyond this")
-	startProf := prof.RegisterFlags(flag.CommandLine)
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "samfig:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args (exiting 2 on a bad flag, 0 on
+// -h) and writes the requested tables to stdout. The profiles and the
+// observability plane are closed on every return path, a cancelled sweep
+// included.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("samfig", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment: table1, table2, table3, fig12, fig13, fig14a, fig14b, fig14c, fig15a..fig15i, reliability, all")
+	taRecords := fs.Int("ta", 0, "records in the wide table Ta (0 = default)")
+	tbRecords := fs.Int("tb", 0, "records in the narrow table Tb (0 = default)")
+	sweepRecords := fs.Int("sweep-records", 2048, "table records per Fig.15 sweep point")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
+	small := fs.Bool("small", false, "use the small (test-scale) workload")
+	workers := fs.Int("workers", 0, "max parallel simulations per sweep (0 = GOMAXPROCS, 1 = serial)")
+	progress := fs.Bool("progress", false, "report per-sweep progress on stderr")
+	metricsDir := fs.String("metrics-dir", "", "dump per-figure run metrics as JSON files into this directory")
+	newMemo := core.RegisterMemoFlags(fs)
+	relOut := fs.String("reliability-out", "", "write the reliability campaign summary as JSON to this file")
+	startProf := prof.RegisterFlags(fs)
+	obsFlags := obs.RegisterFlags(fs)
+	_ = fs.Parse(args)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -87,65 +93,37 @@ func main() {
 		w.TbRecords = *tbRecords
 	}
 
-	// fail closes the plane before exiting so an aborted run (a cancelled
-	// sweep, a failed figure) still gets its event-log summary; os.Exit
-	// skips the deferred Close, and Close is idempotent for the normal
-	// path.
-	var plane *obs.Plane
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "samfig:", err)
-		_ = plane.Close()
-		os.Exit(1)
-	}
-
 	stopProf, err := startProf()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
-
-	if *traceOut != "" {
-		if err := runTraced(w, *traceDesign, *traceBench, *traceOut, *traceWindow, *traceLimit); err != nil {
-			fail(err)
-		}
-		return
-	}
+	defer func() { err = errors.Join(err, stopProf()) }()
 
 	// One memo cache is shared across every figure and sweep of the
 	// invocation, so `-exp all` simulates each distinct (design, workload,
 	// query) cell once no matter how many figures evaluate it. Figures are
 	// byte-identical with the cache on or off; -no-cache recovers the
 	// run-everything behaviour, -cache-dir adds the persistent tier.
-	var cache *core.Memo
-	if !*noCache {
-		cache = core.NewMemo(core.MemoOptions{Dir: *cacheDir})
-	}
+	cache := newMemo()
 
 	// The observability plane (nil when both flags are off) serves live
 	// /metrics, /progress, and the stall watchdog while figures run, and
 	// appends the JSONL run-lifecycle event log.
-	plane, err = obsFlags.Start(os.Stderr)
+	plane, err := obsFlags.Start(os.Stderr)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if cache != nil {
 		plane.AddSource(cache.StatsSnapshot)
 	}
-	defer func() {
-		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samfig: obs:", err)
-		}
-	}()
+	defer func() { err = errors.Join(err, plane.Close()) }()
 
 	// collected gathers per-run metrics by figure ID, in emission order
 	// (the drivers call Par.Metrics from their deterministic aggregation
 	// loops, never from workers).
 	collected := map[string]*metricsFile{}
 	var collectedOrder []string
+	var mergeErr error
 
 	// par builds the per-sweep parallelism config; the progress callback
 	// rewrites one stderr line per completed simulation of that sweep.
@@ -168,8 +146,8 @@ func main() {
 					collectedOrder = append(collectedOrder, figID)
 				}
 				mf.Entries = append(mf.Entries, metricEntry{X: x, Design: designName, Stats: st})
-				if err := mf.Merged.Merge(st.Metrics); err != nil {
-					fail(fmt.Errorf("%s: %w", figID, err))
+				if err := mf.Merged.Merge(st.Metrics); err != nil && mergeErr == nil {
+					mergeErr = fmt.Errorf("%s: %w", figID, err)
 				}
 			}
 		}
@@ -177,17 +155,22 @@ func main() {
 	}
 
 	emit := func(title string, tb *stats.Table) {
-		fmt.Printf("== %s ==\n", title)
+		fmt.Fprintf(stdout, "== %s ==\n", title)
 		if *csv {
-			fmt.Print(tb.CSV())
+			fmt.Fprint(stdout, tb.CSV())
 		} else {
-			fmt.Print(tb.String())
+			fmt.Fprint(stdout, tb.String())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
+	// ran records whether -exp named anything; a name that runs nothing
+	// is unknown.
+	ran := false
 	wants := func(name string) bool {
-		return *exp == "all" || *exp == name
+		ok := *exp == "all" || *exp == name || (*exp == "fig15" && strings.HasPrefix(name, "fig15"))
+		ran = ran || ok
+		return ok
 	}
 
 	if wants("table1") {
@@ -199,21 +182,21 @@ func main() {
 	if wants("table3") {
 		tb, err := core.Table3()
 		if err != nil {
-			fail(err)
+			return err
 		}
 		emit("Table 3: benchmark queries (parsed and planned)", tb)
 	}
 	if wants("fig12") {
 		fig, err := core.Fig12(ctx, w, par("fig12"))
 		if err != nil {
-			fail(err)
+			return err
 		}
 		emit("Fig 12: speedup vs row-store baseline", fig.Table())
 	}
 	if wants("fig13") {
 		rows, err := core.Fig13(ctx, w, par("fig13"))
 		if err != nil {
-			fail(err)
+			return err
 		}
 		tb := stats.NewTable("category", "design", "bg mW", "rd/wr mW", "act mW", "total mW", "energy eff")
 		for _, r := range rows {
@@ -227,14 +210,14 @@ func main() {
 	if wants("fig14a") {
 		fig, err := core.Fig14a(ctx, w, par("fig14a"))
 		if err != nil {
-			fail(err)
+			return err
 		}
 		emit("Fig 14a: substrate swap (all-query gmean speedup)", fig.Table())
 	}
 	if wants("fig14b") {
 		fig, err := core.Fig14b(ctx, w, par("fig14b"))
 		if err != nil {
-			fail(err)
+			return err
 		}
 		emit("Fig 14b: strided granularity sweep (Q-query gmean)", fig.Table())
 	}
@@ -245,7 +228,7 @@ func main() {
 		camp := core.DefaultReliabilityCampaign()
 		results, err := core.RunReliability(ctx, camp, par("reliability"))
 		if err != nil {
-			fail(err)
+			return err
 		}
 		tb := stats.NewTable("design", "bits", "scheme", "model", "rate",
 			"bursts", "injected", "corrected", "DUE", "silent", "retries", "poisoned")
@@ -267,101 +250,72 @@ func main() {
 				TotalSDC uint64                   `json:"total_sdc"`
 				Cells    []core.ReliabilityResult `json:"cells"`
 			}{camp.Seed, core.TotalSDC(results), results}
-			enc, err := json.MarshalIndent(summary, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			enc = append(enc, '\n')
-			if err := os.WriteFile(*relOut, enc, 0o644); err != nil {
-				fail(err)
+			if err := outfile.JSON(*relOut, stdout, summary); err != nil {
+				return err
 			}
 			fmt.Fprintf(os.Stderr, "samfig: wrote %s (%d cells)\n", *relOut, len(results))
 		}
 		if n := core.TotalSDC(results); n != 0 {
-			fail(fmt.Errorf("reliability campaign took %d silent data corruptions", n))
+			return fmt.Errorf("reliability campaign took %d silent data corruptions", n)
 		}
 	}
 
-	type sweep struct {
-		name string
-		run  func() (*core.Figure, error)
+	sweeps := []struct {
+		name, title string
+		run         func(core.Par) (*core.Figure, error)
+	}{
+		{"fig15a", "Fig 15a: arithmetic, speedup vs selectivity (8 fields)", func(p core.Par) (*core.Figure, error) {
+			return core.Fig15SelectivitySweep(ctx, core.Arithmetic, 8, *sweepRecords, p)
+		}},
+		{"fig15b", "Fig 15b: arithmetic, speedup vs selectivity (64 fields)", func(p core.Par) (*core.Figure, error) {
+			return core.Fig15SelectivitySweep(ctx, core.Arithmetic, 64, *sweepRecords, p)
+		}},
+		{"fig15c", "Fig 15c: arithmetic, speedup vs selectivity (all fields)", func(p core.Par) (*core.Figure, error) {
+			return core.Fig15SelectivitySweep(ctx, core.Arithmetic, 128, *sweepRecords, p)
+		}},
+		{"fig15d", "Fig 15d: arithmetic, speedup vs projectivity (10% selected)", func(p core.Par) (*core.Figure, error) {
+			return core.Fig15ProjectivitySweep(ctx, core.Arithmetic, 0.10, *sweepRecords, p)
+		}},
+		{"fig15e", "Fig 15e: arithmetic, speedup vs projectivity (50% selected)", func(p core.Par) (*core.Figure, error) {
+			return core.Fig15ProjectivitySweep(ctx, core.Arithmetic, 0.50, *sweepRecords, p)
+		}},
+		{"fig15f", "Fig 15f: arithmetic, speedup vs projectivity (100% selected)", func(p core.Par) (*core.Figure, error) {
+			return core.Fig15ProjectivitySweep(ctx, core.Arithmetic, 1.00, *sweepRecords, p)
+		}},
+		{"fig15g", "Fig 15g: aggregate, speedup vs selectivity (8 fields)", func(p core.Par) (*core.Figure, error) {
+			return core.Fig15SelectivitySweep(ctx, core.Aggregate, 8, *sweepRecords, p)
+		}},
+		{"fig15h", "Fig 15h: aggregate, speedup vs projectivity (100% selected)", func(p core.Par) (*core.Figure, error) {
+			return core.Fig15ProjectivitySweep(ctx, core.Aggregate, 1.00, *sweepRecords, p)
+		}},
+		{"fig15i", "Fig 15i: speedup vs record size (100%/100%)", func(p core.Par) (*core.Figure, error) {
+			return core.Fig15RecordSizeSweep(ctx, *sweepRecords, p)
+		}},
 	}
-	sweeps := []sweep{
-		{"fig15a", func() (*core.Figure, error) {
-			return core.Fig15SelectivitySweep(ctx, core.Arithmetic, 8, *sweepRecords, par("fig15a"))
-		}},
-		{"fig15b", func() (*core.Figure, error) {
-			return core.Fig15SelectivitySweep(ctx, core.Arithmetic, 64, *sweepRecords, par("fig15b"))
-		}},
-		{"fig15c", func() (*core.Figure, error) {
-			return core.Fig15SelectivitySweep(ctx, core.Arithmetic, 128, *sweepRecords, par("fig15c"))
-		}},
-		{"fig15d", func() (*core.Figure, error) {
-			return core.Fig15ProjectivitySweep(ctx, core.Arithmetic, 0.10, *sweepRecords, par("fig15d"))
-		}},
-		{"fig15e", func() (*core.Figure, error) {
-			return core.Fig15ProjectivitySweep(ctx, core.Arithmetic, 0.50, *sweepRecords, par("fig15e"))
-		}},
-		{"fig15f", func() (*core.Figure, error) {
-			return core.Fig15ProjectivitySweep(ctx, core.Arithmetic, 1.00, *sweepRecords, par("fig15f"))
-		}},
-		{"fig15g", func() (*core.Figure, error) {
-			return core.Fig15SelectivitySweep(ctx, core.Aggregate, 8, *sweepRecords, par("fig15g"))
-		}},
-		{"fig15h", func() (*core.Figure, error) {
-			return core.Fig15ProjectivitySweep(ctx, core.Aggregate, 1.00, *sweepRecords, par("fig15h"))
-		}},
-		{"fig15i", func() (*core.Figure, error) {
-			return core.Fig15RecordSizeSweep(ctx, *sweepRecords, par("fig15i"))
-		}},
-	}
-	titles := map[string]string{
-		"fig15a": "Fig 15a: arithmetic, speedup vs selectivity (8 fields)",
-		"fig15b": "Fig 15b: arithmetic, speedup vs selectivity (64 fields)",
-		"fig15c": "Fig 15c: arithmetic, speedup vs selectivity (all fields)",
-		"fig15d": "Fig 15d: arithmetic, speedup vs projectivity (10% selected)",
-		"fig15e": "Fig 15e: arithmetic, speedup vs projectivity (50% selected)",
-		"fig15f": "Fig 15f: arithmetic, speedup vs projectivity (100% selected)",
-		"fig15g": "Fig 15g: aggregate, speedup vs selectivity (8 fields)",
-		"fig15h": "Fig 15h: aggregate, speedup vs projectivity (100% selected)",
-		"fig15i": "Fig 15i: speedup vs record size (100%/100%)",
-	}
-	ranAny := false
 	for _, sw := range sweeps {
-		if wants(sw.name) || (*exp == "fig15" && strings.HasPrefix(sw.name, "fig15")) {
-			fig, err := sw.run()
+		if wants(sw.name) {
+			fig, err := sw.run(par(sw.name))
 			if err != nil {
-				fail(err)
+				return err
 			}
-			emit(titles[sw.name], fig.Table())
-			ranAny = true
+			emit(sw.title, fig.Table())
 		}
 	}
-	known := map[string]bool{
-		"all": true, "table1": true, "table2": true, "table3": true,
-		"fig12": true, "fig13": true, "fig14a": true, "fig14b": true, "fig14c": true, "fig15": true,
-		"reliability": true,
-	}
-	for _, sw := range sweeps {
-		known[sw.name] = true
-	}
-	if !known[*exp] && !ranAny {
-		fail(fmt.Errorf("unknown experiment %q", *exp))
+	if !ran {
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 
 	if *metricsDir != "" {
+		if mergeErr != nil {
+			return mergeErr
+		}
 		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
-			fail(err)
+			return err
 		}
 		for _, figID := range collectedOrder {
-			enc, err := json.MarshalIndent(collected[figID], "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			enc = append(enc, '\n')
 			path := filepath.Join(*metricsDir, figID+".json")
-			if err := os.WriteFile(path, enc, 0o644); err != nil {
-				fail(err)
+			if err := outfile.JSON(path, stdout, collected[figID]); err != nil {
+				return err
 			}
 			fmt.Fprintf(os.Stderr, "samfig: wrote %s (%d runs)\n", path, len(collected[figID].Entries))
 		}
@@ -373,14 +327,9 @@ func main() {
 				Counters memo.Counters   `json:"counters"`
 				Stats    *stats.Snapshot `json:"stats"`
 			}{memo.SchemaVersion, cache.Counters(), cache.StatsSnapshot()}
-			enc, err := json.MarshalIndent(dump, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			enc = append(enc, '\n')
 			path := filepath.Join(*metricsDir, "memo.json")
-			if err := os.WriteFile(path, enc, 0o644); err != nil {
-				fail(err)
+			if err := outfile.JSON(path, stdout, dump); err != nil {
+				return err
 			}
 			fmt.Fprintf(os.Stderr, "samfig: wrote %s\n", path)
 		}
@@ -388,69 +337,5 @@ func main() {
 	if cache != nil {
 		fmt.Fprintf(os.Stderr, "samfig: memo: %v\n", cache.Counters())
 	}
-}
-
-// runTraced runs one benchmark query on the baseline and on the chosen
-// design with cycle-accurate event tracing attached, and writes both
-// timelines into a single Chrome/Perfetto JSON (each design becomes its own
-// process group) — the side-by-side view the tracing docs walk through.
-func runTraced(w core.Workload, designName, benchName, out string, window int64, limit int) error {
-	var q core.BenchQuery
-	found := false
-	for _, b := range core.Benchmark() {
-		if b.Name == benchName {
-			q, found = b, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown benchmark query %q", benchName)
-	}
-	var kind design.Kind
-	found = false
-	for _, k := range append([]design.Kind{design.Baseline, design.Ideal}, design.AllEvaluated()...) {
-		if k.String() == designName {
-			kind, found = k, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown design %q", designName)
-	}
-	kinds := []design.Kind{design.Baseline}
-	if kind != design.Baseline {
-		kinds = append(kinds, kind)
-	}
-	var bufs []*etrace.Buffer
-	var sps []*etrace.Sampler
-	for _, k := range kinds {
-		colStore := k == design.Ideal && q.Class == core.ClassQ
-		s := core.NewSystem(k, design.Options{}, w, colStore)
-		buf := etrace.NewBuffer(limit)
-		buf.Name = k.String()
-		sp := etrace.NewSampler(window)
-		sp.Name = k.String()
-		s.AttachEventTrace(buf, sp)
-		r, err := core.RunOn(s, q)
-		if err != nil {
-			return fmt.Errorf("%v: %w", k, err)
-		}
-		fmt.Printf("%-10s %s: %d cycles, %d events (%d dropped), %d samples\n",
-			k, q.Name, r.Stats.Cycles, buf.Len(), buf.Dropped(), len(sp.Samples))
-		bufs = append(bufs, buf)
-		sps = append(sps, sp)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := etrace.WriteChrome(f, bufs, sps); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("event trace -> %s\n", out)
 	return nil
 }

@@ -7,11 +7,12 @@
 //	samsim -design baseline -bench Q3
 //	samsim -design RC-NVM-wd -bench Qs2 -ta 4096
 //	samsim -design SAM-en -bench Q3 -compare -workers 2
+//	samsim -design SAM-en -bench Q3 -compare -trace-out duel.json
 package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"sam/internal/fault"
 	"sam/internal/mc"
 	"sam/internal/obs"
+	"sam/internal/outfile"
 	"sam/internal/prof"
 	"sam/internal/runner"
 	"sam/internal/sim"
@@ -34,65 +36,51 @@ import (
 	"sam/internal/trace"
 )
 
-func kindByName(name string) (design.Kind, error) {
-	if k, ok := core.KindByName(name); ok {
-		return k, nil
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "samsim:", err)
+		os.Exit(1)
 	}
-	return 0, fmt.Errorf("unknown design %q (try %s)", name, strings.Join(core.KindNames(), ", "))
 }
 
-func main() {
-	designName := flag.String("design", "SAM-en", "memory design to simulate")
-	query := flag.String("query", "", "SQL query text (Table 3 dialect)")
-	benchName := flag.String("bench", "", "run a named benchmark query (Q1..Q12, Qs1..Qs6) instead of -query")
-	taRecords := flag.Int("ta", 0, "records in Ta (0 = default)")
-	tbRecords := flag.Int("tb", 0, "records in Tb (0 = default)")
-	compare := flag.Bool("compare", false, "also run the baseline and report speedup")
-	workers := flag.Int("workers", 0, "max parallel simulations for -compare (0 = GOMAXPROCS)")
-	faultChip := flag.Int("faultchip", -1, "inject a dead chip at this index on every rank (chipkill study)")
-	faultRate := flag.Float64("fault-rate", 0, "per-burst transient fault probability (0..1)")
-	faultSeed := flag.Uint64("fault-seed", 0, "fault-injection seed (0 = workload seed)")
-	faultChips := flag.String("fault-chips", "", "comma-separated dead-chip indices, each as chip or rank:chip (-1 rank = all)")
-	faultStuck := flag.String("fault-stuck", "", "comma-separated stuck DQ lines, each as chip:dq:value (value 0 or 1)")
-	faultRetries := flag.Int("fault-retries", mc.DefaultConfig().MaxRetries, "read-retry budget before poisoning (0 = poison on first DUE)")
-	traceOut := flag.String("trace", "", "dump the memory request trace to this file")
-	eventOut := flag.String("trace-out", "", "write a cycle-accurate Chrome/Perfetto trace-event JSON to this file")
-	traceCSV := flag.String("trace-csv", "", "write the windowed time-series samples as CSV to this file")
-	traceWindow := flag.Int64("trace-window", 2048, "sampling window for the trace time series (bus cycles)")
-	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity; oldest events drop beyond this")
-	statsJSON := flag.String("stats-json", "", "write the full run report as JSON to this file ('-' for stdout)")
-	cacheDir := flag.String("cache-dir", "", "persist memoized run results in this directory (warm re-runs skip simulation)")
-	noCache := flag.Bool("no-cache", false, "disable run memoization entirely (overrides -cache-dir)")
-	startProf := prof.RegisterFlags(flag.CommandLine)
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+// run is the whole command: it parses args (exiting 2 on a bad flag, 0 on
+// -h), runs the query and writes the report to stdout. The profiles and
+// the observability plane are closed on every return path.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("samsim", flag.ExitOnError)
+	designName := fs.String("design", "SAM-en", "memory design to simulate")
+	query := fs.String("query", "", "SQL query text (Table 3 dialect)")
+	benchName := fs.String("bench", "", "run a named benchmark query (Q1..Q12, Qs1..Qs6) instead of -query")
+	taRecords := fs.Int("ta", 0, "records in Ta (0 = default)")
+	tbRecords := fs.Int("tb", 0, "records in Tb (0 = default)")
+	compare := fs.Bool("compare", false, "also run the baseline and report speedup (with -trace-out, trace it ahead of the design)")
+	workers := fs.Int("workers", 0, "max parallel simulations for -compare (0 = GOMAXPROCS)")
+	faultChip := fs.Int("faultchip", -1, "inject a dead chip at this index on every rank (chipkill study)")
+	faultRate := fs.Float64("fault-rate", 0, "per-burst transient fault probability (0..1)")
+	faultSeed := fs.Uint64("fault-seed", 0, "fault-injection seed (0 = workload seed)")
+	faultChips := fs.String("fault-chips", "", "comma-separated dead-chip indices, each as chip or rank:chip (-1 rank = all)")
+	faultStuck := fs.String("fault-stuck", "", "comma-separated stuck DQ lines, each as chip:dq:value (value 0 or 1)")
+	faultRetries := fs.Int("fault-retries", mc.DefaultConfig().MaxRetries, "read-retry budget before poisoning (0 = poison on first DUE)")
+	traceOut := fs.String("trace", "", "dump the memory request trace to this file")
+	events := etrace.RegisterFlags(fs)
+	statsJSON := fs.String("stats-json", "", "write the full run report as JSON to this file ('-' for stdout)")
+	newMemo := core.RegisterMemoFlags(fs)
+	startProf := prof.RegisterFlags(fs)
+	obsFlags := obs.RegisterFlags(fs)
+	_ = fs.Parse(args)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// fail closes the (idempotent, nil-safe) plane first: os.Exit skips
-	// the deferred Close, and an aborted run should still summarize its
-	// event log.
-	var plane *obs.Plane
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "samsim:", err)
-		_ = plane.Close()
-		os.Exit(1)
-	}
-
 	stopProf, err := startProf()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
+	defer func() { err = errors.Join(err, stopProf()) }()
 
-	kind, err := kindByName(*designName)
-	if err != nil {
-		fail(err)
+	kind, ok := core.KindByName(*designName)
+	if !ok {
+		return fmt.Errorf("unknown design %q (try %s)", *designName, strings.Join(core.KindNames(), ", "))
 	}
 	w := core.DefaultWorkload()
 	if *taRecords > 0 {
@@ -105,100 +93,82 @@ func main() {
 	var bench core.BenchQuery
 	switch {
 	case *benchName != "":
-		found := false
-		for _, q := range core.Benchmark() {
-			if q.Name == *benchName {
-				bench, found = q, true
-				break
-			}
-		}
-		if !found {
-			fail(fmt.Errorf("unknown benchmark query %q", *benchName))
+		if bench, ok = core.BenchQueryByName(*benchName); !ok {
+			return fmt.Errorf("unknown benchmark query %q", *benchName)
 		}
 	case *query != "":
 		bench = core.BenchQuery{Name: "adhoc", SQL: *query, Params: sql.Params{}}
 	default:
-		fail(fmt.Errorf("provide -query or -bench"))
+		return fmt.Errorf("provide -query or -bench")
 	}
 
 	faults, err := buildFaultModel(*faultChip, *faultRate, *faultSeed, *faultChips, *faultStuck, *faultRetries, w.Seed)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	// Runs without attached extras route through the memo cache; with
-	// -cache-dir a repeat of the same (design, workload, query) replays
-	// from disk instead of simulating. Runs with extras attached (fault
-	// models, tracers) always execute for real.
-	var cache *core.Memo
-	if !*noCache {
-		cache = core.NewMemo(core.MemoOptions{Dir: *cacheDir})
-	}
-	runOne := func(k design.Kind, q core.BenchQuery) (*sim.QueryResult, error) {
-		if cache == nil {
-			return core.RunOne(k, design.Options{}, w, q)
-		}
-		return cache.RunOne(k, design.Options{}, w, q)
-	}
+	// Runs without attached extras route through the memo cache (nil with
+	// -no-cache); with -cache-dir a repeat of the same (design, workload,
+	// query) replays from disk instead of simulating. Runs with extras
+	// attached (fault models, tracers) always execute for real.
+	cache := newMemo()
 
-	plane, err = obsFlags.Start(os.Stderr)
+	plane, err := obsFlags.Start(os.Stderr)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if cache != nil {
 		plane.AddSource(cache.StatsSnapshot)
 	}
-	defer func() {
-		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samsim: obs:", err)
-		}
-	}()
+	defer func() { err = errors.Join(err, plane.Close()) }()
 
-	ex := extras{
-		faults: faults, traceOut: *traceOut, eventOut: *eventOut, traceCSV: *traceCSV,
-		traceWindow: *traceWindow, traceLimit: *traceLimit,
-	}
+	compared := *compare && kind != design.Baseline
+	ex := extras{faults: faults, traceOut: *traceOut, events: *events}
 	var res, base *sim.QueryResult
 	if ex.attached() {
 		finish := plane.Single("run")
-		res, err = runWithExtras(kind, w, bench, ex, os.Stdout)
+		if compared && ex.events.Out != "" {
+			base, err = traceBaseline(w, bench, &ex)
+		}
+		if err == nil {
+			res, err = runWithExtras(kind, w, bench, ex, stdout)
+		}
 		finish(err)
 		if err != nil {
-			fail(err)
+			return err
 		}
-	} else if *compare && kind != design.Baseline {
+	} else if compared {
 		// The design and its baseline are independent runs; fan them out
 		// on the worker pool.
-		runs, rerr := runner.Map(ctx, []design.Kind{kind, design.Baseline},
+		runs, err := runner.Map(ctx, []design.Kind{kind, design.Baseline},
 			runner.Options{Workers: *workers, Observer: plane.Hooks("compare")},
 			func(_ context.Context, _ int, k design.Kind) (*sim.QueryResult, error) {
-				r, err := runOne(k, bench)
+				r, err := cache.RunOne(k, design.Options{}, w, bench)
 				if err != nil {
 					return nil, fmt.Errorf("%v: %w", k, err)
 				}
 				return r, nil
 			})
-		if rerr != nil {
-			fail(rerr)
+		if err != nil {
+			return err
 		}
 		res, base = runs[0], runs[1]
 	} else {
 		finish := plane.Single("run")
-		res, err = runOne(kind, bench)
+		res, err = cache.RunOne(kind, design.Options{}, w, bench)
 		finish(err)
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
-	report(kind.String(), bench, res)
-	if *compare && kind != design.Baseline {
+	report(stdout, kind.String(), bench, res)
+	if compared {
 		if base == nil { // fault/trace path: baseline still to run
-			base, err = runOne(design.Baseline, bench)
-			if err != nil {
-				fail(err)
+			if base, err = cache.RunOne(design.Baseline, design.Options{}, w, bench); err != nil {
+				return err
 			}
 		}
-		fmt.Printf("\nspeedup vs baseline: %.2fx (baseline %d cycles)\n",
+		fmt.Fprintf(stdout, "\nspeedup vs baseline: %.2fx (baseline %d cycles)\n",
 			sim.Speedup(base.Stats, res.Stats), base.Stats.Cycles)
 	}
 	var memoSnap *stats.Snapshot
@@ -208,25 +178,40 @@ func main() {
 			fmt.Fprintf(os.Stderr, "samsim: memo: %v\n", ct)
 		}
 	}
-	if *statsJSON != "" {
-		if err := writeStatsJSON(*statsJSON, kind.String(), bench, res, memoSnap); err != nil {
-			fail(err)
-		}
+	if *statsJSON == "" {
+		return nil
 	}
+	return outfile.JSON(*statsJSON, stdout, statsReport{
+		Design: kind.String(), Query: bench.Name, SQL: bench.SQL,
+		Rows: res.Rows, Aggregates: res.Aggregates, Stats: res.Stats, Memo: memoSnap,
+	})
 }
 
 // extras are the run attachments that need a system built by hand: a
 // fault model and the request, event and time-series tracers.
 type extras struct {
-	faults                       *sim.FaultModel
-	traceOut, eventOut, traceCSV string
-	traceWindow                  int64
-	traceLimit                   int
+	faults   *sim.FaultModel
+	traceOut string       // -trace: the memory request trace
+	events   etrace.Flags // -trace-out, -trace-csv and their window and ring size
+	// leadBufs and leadSps are event traces of earlier runs (the -compare
+	// baseline) that the Chrome file carries ahead of this run's.
+	leadBufs []*etrace.Buffer
+	leadSps  []*etrace.Sampler
 }
 
 // attached reports whether any extra is set.
 func (x extras) attached() bool {
-	return x.faults != nil || x.traceOut != "" || x.eventOut != "" || x.traceCSV != ""
+	return x.faults != nil || x.traceOut != "" || x.events.Enabled()
+}
+
+// traceBaseline runs q on the fault-free baseline with event tracing
+// attached and queues its trace ahead of the design's in x.
+func traceBaseline(w core.Workload, q core.BenchQuery, x *extras) (*sim.QueryResult, error) {
+	buf, sp := x.events.New(design.Baseline.String())
+	s := core.BenchSystem(design.Baseline, design.Options{}, w, q)
+	s.AttachEventTrace(buf, sp)
+	x.leadBufs, x.leadSps = []*etrace.Buffer{buf}, []*etrace.Sampler{sp}
+	return core.RunOn(s, q)
 }
 
 // runWithExtras runs q on the system core.RunOne would build, with the
@@ -241,11 +226,8 @@ func runWithExtras(kind design.Kind, w core.Workload, q core.BenchQuery, x extra
 	}
 	var buf *etrace.Buffer
 	var sp *etrace.Sampler
-	if x.eventOut != "" || x.traceCSV != "" {
-		buf = etrace.NewBuffer(x.traceLimit)
-		buf.Name = kind.String()
-		sp = etrace.NewSampler(x.traceWindow)
-		sp.Name = kind.String()
+	if x.events.Enabled() {
+		buf, sp = x.events.New(kind.String())
 		s.AttachEventTrace(buf, sp)
 	}
 	res, err := core.RunOn(s, q)
@@ -253,30 +235,15 @@ func runWithExtras(kind design.Kind, w core.Workload, q core.BenchQuery, x extra
 		return nil, err
 	}
 	if x.traceOut != "" {
-		if err := writeFile(x.traceOut, s.TraceSink.Write); err != nil {
+		if err := outfile.Write(x.traceOut, s.TraceSink.Write); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(out, "trace         %d requests -> %s\n", s.TraceSink.Len(), x.traceOut)
 	}
-	if x.eventOut != "" {
-		err := writeFile(x.eventOut, func(w io.Writer) error {
-			return etrace.WriteChrome(w, []*etrace.Buffer{buf}, []*etrace.Sampler{sp})
-		})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "event trace   %d events (%d dropped), %d samples -> %s\n",
-			buf.Len(), buf.Dropped(), len(sp.Samples), x.eventOut)
+	if x.events.Enabled() {
+		err = x.events.Write(out, append(x.leadBufs, buf), append(x.leadSps, sp))
 	}
-	if x.traceCSV != "" {
-		err := writeFile(x.traceCSV, func(w io.Writer) error { return etrace.WriteCSV(w, sp) })
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "trace csv     %d samples (window %d cycles) -> %s\n",
-			len(sp.Samples), sp.Window, x.traceCSV)
-	}
-	return res, nil
+	return res, err
 }
 
 // buildFaultModel assembles the run's fault configuration from the -fault-*
@@ -342,19 +309,6 @@ func buildFaultModel(legacyChip int, rate float64, seed uint64, chips, stuck str
 	return cfg, nil
 }
 
-// writeFile creates path and fills it with write.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // statsReport is the machine-readable form of the run: functional results
 // plus the full sim.RunStats, including the per-class latency/occupancy
 // histogram snapshot (Stats.Metrics) and per-bank accounting
@@ -372,53 +326,31 @@ type statsReport struct {
 	Memo *stats.Snapshot `json:",omitempty"`
 }
 
-func writeStatsJSON(path, designName string, q core.BenchQuery, r *sim.QueryResult, memoSnap *stats.Snapshot) error {
-	out := statsReport{
-		Design:     designName,
-		Query:      q.Name,
-		SQL:        q.SQL,
-		Rows:       r.Rows,
-		Aggregates: r.Aggregates,
-		Stats:      r.Stats,
-		Memo:       memoSnap,
-	}
-	enc, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(enc)
-		return err
-	}
-	return os.WriteFile(path, enc, 0o644)
-}
-
-func report(designName string, q core.BenchQuery, r *sim.QueryResult) {
+func report(out io.Writer, designName string, q core.BenchQuery, r *sim.QueryResult) {
 	st := r.Stats
-	fmt.Printf("design        %s\n", designName)
-	fmt.Printf("query         %s: %s\n", q.Name, q.SQL)
-	fmt.Printf("rows          %d\n", r.Rows)
+	fmt.Fprintf(out, "design        %s\n", designName)
+	fmt.Fprintf(out, "query         %s: %s\n", q.Name, q.SQL)
+	fmt.Fprintf(out, "rows          %d\n", r.Rows)
 	for i, agg := range r.Aggregates {
-		fmt.Printf("aggregate[%d]  %.6g\n", i, agg)
+		fmt.Fprintf(out, "aggregate[%d]  %.6g\n", i, agg)
 	}
-	fmt.Printf("cycles        %d (%.3f ms at 1200 MHz bus)\n", st.Cycles, st.Seconds(1200)*1e3)
-	fmt.Printf("mem requests  %d (row-hit rate %.1f%%)\n", st.MemRequests, st.RowHitRate*100)
-	fmt.Printf("device        ACT=%d RD=%d WR=%d sRD=%d sWR=%d REF=%d modeSwitch=%d\n",
+	fmt.Fprintf(out, "cycles        %d (%.3f ms at 1200 MHz bus)\n", st.Cycles, st.Seconds(1200)*1e3)
+	fmt.Fprintf(out, "mem requests  %d (row-hit rate %.1f%%)\n", st.MemRequests, st.RowHitRate*100)
+	fmt.Fprintf(out, "device        ACT=%d RD=%d WR=%d sRD=%d sWR=%d REF=%d modeSwitch=%d\n",
 		st.Device.Acts, st.Device.Reads, st.Device.Writes,
 		st.Device.StrideReads, st.Device.StrideWrites, st.Device.Refs, st.Device.ModeSwitches)
-	fmt.Printf("energy        %.2f uJ (bg %.1f%%, act %.1f%%, rd/wr %.1f%%, ref %.1f%%)\n",
+	fmt.Fprintf(out, "energy        %.2f uJ (bg %.1f%%, act %.1f%%, rd/wr %.1f%%, ref %.1f%%)\n",
 		st.Energy.Total()/1e3,
 		pct(st.Energy.Background, st.Energy.Total()),
 		pct(st.Energy.ActPre, st.Energy.Total()),
 		pct(st.Energy.RdWr, st.Energy.Total()),
 		pct(st.Energy.Refresh, st.Energy.Total()))
-	fmt.Printf("avg power     %.0f mW\n", st.PowerMW.Total())
+	fmt.Fprintf(out, "avg power     %.0f mW\n", st.PowerMW.Total())
 	if rel := st.Reliability; rel != nil {
-		fmt.Printf("fault model   %d bursts probed, %d injected, %d corrected (%d symbols), %d DUE, %d silent\n",
+		fmt.Fprintf(out, "fault model   %d bursts probed, %d injected, %d corrected (%d symbols), %d DUE, %d silent\n",
 			rel.Bursts, rel.Injected, rel.CorrectedBursts, rel.CorrectedSymbols,
 			rel.DUEs, rel.SilentCorruptions)
-		fmt.Printf("reliability   %d retries, %d poisoned lines\n",
+		fmt.Fprintf(out, "reliability   %d retries, %d poisoned lines\n",
 			st.Controller.Retries, st.Controller.Poisoned)
 	}
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sam/internal/core"
@@ -33,7 +36,7 @@ func TestExtrasKeepResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, x := range map[string]extras{
-			"trace-csv": {traceCSV: filepath.Join(dir, "t.csv"), traceWindow: 2048, traceLimit: etrace.DefaultCapacity},
+			"trace-csv": {events: etrace.Flags{CSV: filepath.Join(dir, "t.csv"), Window: 2048, Limit: etrace.DefaultCapacity}},
 			"fault-rate": {faults: &sim.FaultModel{Rate: 1e-9, Seed: w.Seed,
 				MaxRetries: core.DefaultReliabilityCampaign().MaxRetries}},
 		} {
@@ -48,5 +51,53 @@ func TestExtrasKeepResult(t *testing.T) {
 					plain.Stats.Cycles, plain.Stats.MemRequests, plain.Rows)
 			}
 		}
+	}
+}
+
+// TestFailedRunKeepsProfiles pins that a run ending in an error still
+// stops the profiler: both profiles are written, non-empty and
+// gzip-framed, instead of being left as the 0-byte files an exit that
+// skips the stop leaves behind.
+func TestFailedRunKeepsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	err := run([]string{"-bench", "Q99", "-cpuprofile", cpu, "-memprofile", mem}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "Q99") {
+		t.Fatalf("run returned %v, want the unknown-query error", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes, not a gzip-framed profile", filepath.Base(path), len(b))
+		}
+	}
+}
+
+// TestCompareTracesBaseline pins -compare -trace-out: one Chrome file that
+// validates and carries the baseline's timeline ahead of the design's.
+func TestCompareTracesBaseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "duel.json")
+	var out bytes.Buffer
+	err := run([]string{"-design", "SAM-en", "-bench", "Q3", "-compare",
+		"-ta", "512", "-tb", "2048", "-trace-out", path}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := etrace.ValidateChrome(data); err != nil {
+		t.Fatalf("trace invalid: %v", err)
+	}
+	base, des := bytes.Index(data, []byte(`"baseline/ch0"`)), bytes.Index(data, []byte(`"SAM-en/ch0"`))
+	if base < 0 || des < base {
+		t.Fatalf("baseline process at %d, SAM-en at %d: want both, baseline first", base, des)
+	}
+	if !strings.Contains(out.String(), "speedup vs baseline") {
+		t.Fatalf("no speedup line in:\n%s", out.String())
 	}
 }

@@ -12,9 +12,10 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -22,95 +23,74 @@ import (
 	"sam/internal/etrace"
 	"sam/internal/mc"
 	"sam/internal/obs"
+	"sam/internal/outfile"
 	"sam/internal/prof"
 	"sam/internal/stats"
 	"sam/internal/trace"
 )
 
 func main() {
-	gen := flag.String("gen", "", "generate a trace: sequential, strided, random")
-	n := flag.Int("n", 4096, "requests to generate")
-	stride := flag.Int("stride", 1024, "byte stride for the strided pattern")
-	replay := flag.String("replay", "", "replay a trace file ('-' for stdin)")
-	rram := flag.Bool("rram", false, "replay against the RRAM personality")
-	seed := flag.Int64("seed", 1, "generator seed")
-	statsJSON := flag.String("stats-json", "", "write replay metrics as JSON to this file ('-' for stdout)")
-	eventOut := flag.String("trace-out", "", "write a cycle-accurate Chrome/Perfetto trace-event JSON of the replay")
-	traceCSV := flag.String("trace-csv", "", "write the windowed time-series samples as CSV to this file")
-	traceWindow := flag.Int64("trace-window", 2048, "sampling window for the trace time series (bus cycles)")
-	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity; oldest events drop beyond this")
-	startProf := prof.RegisterFlags(flag.CommandLine)
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	// fail closes the (idempotent, nil-safe) plane first: os.Exit skips
-	// the deferred Close, and an aborted replay should still summarize
-	// its event log.
-	var plane *obs.Plane
-	fail := func(err error) {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "samtrace:", err)
-		_ = plane.Close()
 		os.Exit(1)
 	}
+}
 
-	plane, perr := obsFlags.Start(os.Stderr)
-	if perr != nil {
-		fail(perr)
+// run is the whole command: it parses args (exiting 2 on a bad flag, 0 on
+// -h), then generates and/or replays a trace, writing to stdout. The
+// profiles and the observability plane are closed on every return path.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("samtrace", flag.ExitOnError)
+	gen := fs.String("gen", "", "generate a trace: sequential, strided, random")
+	n := fs.Int("n", 4096, "requests to generate")
+	stride := fs.Int("stride", 1024, "byte stride for the strided pattern")
+	replay := fs.String("replay", "", "replay a trace file ('-' for stdin)")
+	rram := fs.Bool("rram", false, "replay against the RRAM personality")
+	seed := fs.Int64("seed", 1, "generator seed")
+	statsJSON := fs.String("stats-json", "", "write replay metrics as JSON to this file ('-' for stdout)")
+	events := etrace.RegisterFlags(fs)
+	startProf := prof.RegisterFlags(fs)
+	obsFlags := obs.RegisterFlags(fs)
+	_ = fs.Parse(args)
+
+	plane, err := obsFlags.Start(os.Stderr)
+	if err != nil {
+		return err
 	}
-	defer func() {
-		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samtrace: obs:", err)
-		}
-	}()
+	defer func() { err = errors.Join(err, plane.Close()) }()
 
 	stopProf, err := startProf()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
+	defer func() { err = errors.Join(err, stopProf()) }()
 
+	if *gen == "" && *replay == "" {
+		return fmt.Errorf("nothing to do: pass -gen and/or -replay")
+	}
 	var tr *trace.Trace
 	if *gen != "" {
-		var err error
-		tr, err = generate(*gen, *n, *stride, *seed)
-		if err != nil {
-			fail(err)
+		if tr, err = generate(*gen, *n, *stride, *seed); err != nil {
+			return err
 		}
 		if *replay == "" {
-			if err := tr.Write(os.Stdout); err != nil {
-				fail(err)
-			}
-			return
+			return tr.Write(stdout)
 		}
-	}
-	if *replay != "" {
-		if tr == nil {
-			in := os.Stdin
-			if *replay != "-" {
-				f, err := os.Open(*replay)
-				if err != nil {
-					fail(err)
-				}
-				defer f.Close()
-				in = f
-			}
-			var err error
-			tr, err = trace.Read(in)
+	} else {
+		in := os.Stdin
+		if *replay != "-" {
+			f, err := os.Open(*replay)
 			if err != nil {
-				fail(err)
+				return err
 			}
+			defer f.Close()
+			in = f
 		}
-		topts := traceOpts{out: *eventOut, csv: *traceCSV, window: *traceWindow, limit: *traceLimit}
-		if err := report(tr, *rram, *statsJSON, topts, plane); err != nil {
-			fail(err)
+		if tr, err = trace.Read(in); err != nil {
+			return err
 		}
-		return
 	}
-	fail(fmt.Errorf("nothing to do: pass -gen and/or -replay"))
+	return report(stdout, tr, *rram, *statsJSON, events, plane)
 }
 
 func generate(kind string, n, stride int, seed int64) (*trace.Trace, error) {
@@ -141,16 +121,7 @@ func generate(kind string, n, stride int, seed int64) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// traceOpts carries the event-tracing flags into the replay.
-type traceOpts struct {
-	out, csv string
-	window   int64
-	limit    int
-}
-
-func (o traceOpts) enabled() bool { return o.out != "" || o.csv != "" }
-
-func report(tr *trace.Trace, rram bool, statsJSON string, topts traceOpts, plane *obs.Plane) error {
+func report(out io.Writer, tr *trace.Trace, rram bool, statsJSON string, events *etrace.Flags, plane *obs.Plane) error {
 	cfg := dram.DDR4_2400()
 	if rram {
 		cfg = dram.RRAM()
@@ -166,24 +137,15 @@ func report(tr *trace.Trace, rram bool, statsJSON string, topts traceOpts, plane
 	var buf *etrace.Buffer
 	var sp *etrace.Sampler
 	var observe func(mc.Completion)
-	if topts.enabled() {
-		buf = etrace.NewBuffer(topts.limit)
-		sp = etrace.NewSampler(topts.window)
+	snap := func(at int64) etrace.Sample {
+		return etrace.Sample{At: at, Ctl: ctrl.Stats, Dev: dev.Stats.Clone(), Queue: ctrl.Pending()}
+	}
+	if events.Enabled() {
+		buf, sp = events.New(cfg.Name)
 		ct := buf.Channel(0)
 		ctrl.Trace = ct
 		dev.Trace = ct
-		var hw dram.Cycle
-		observe = func(c mc.Completion) {
-			if c.DataEnd > hw {
-				hw = c.DataEnd
-			}
-			for sp.Due(int64(hw)) {
-				sp.Record(etrace.Sample{
-					At: sp.Advance(), Ctl: ctrl.Stats, Dev: dev.Stats.Clone(),
-					Queue: ctrl.Pending(),
-				})
-			}
-		}
+		observe = func(c mc.Completion) { sp.Observe(c.DataEnd, snap) }
 	}
 	finish := plane.Single("replay")
 	comps, err := trace.ReplayObserved(tr, ctrl, observe)
@@ -206,16 +168,16 @@ func report(tr *trace.Trace, rram bool, statsJSON string, topts traceOpts, plane
 		}
 	}
 	st := ctrl.Stats
-	fmt.Printf("device        %s\n", cfg.Name)
-	fmt.Printf("requests      %d (%d reads, %d writes, %d strided)\n",
+	fmt.Fprintf(out, "device        %s\n", cfg.Name)
+	fmt.Fprintf(out, "requests      %d (%d reads, %d writes, %d strided)\n",
 		len(comps), st.Reads, st.Writes, st.StrideAccesses)
-	fmt.Printf("cycles        %d (%.3f us)\n", end, cfg.CyclesToNs(uint64(end))/1e3)
+	fmt.Fprintf(out, "cycles        %d (%.3f us)\n", end, cfg.CyclesToNs(uint64(end))/1e3)
 	if len(comps) > 0 {
-		fmt.Printf("throughput    %.2f cycles/request\n", float64(end)/float64(len(comps)))
+		fmt.Fprintf(out, "throughput    %.2f cycles/request\n", float64(end)/float64(len(comps)))
 	}
 	total := st.RowHits + st.RowMisses + st.RowEmpties
 	if total > 0 {
-		fmt.Printf("row buffer    %.1f%% hit, %.1f%% conflict, %.1f%% empty\n",
+		fmt.Fprintf(out, "row buffer    %.1f%% hit, %.1f%% conflict, %.1f%% empty\n",
 			100*float64(st.RowHits)/float64(total),
 			100*float64(st.RowMisses)/float64(total),
 			100*float64(st.RowEmpties)/float64(total))
@@ -232,72 +194,26 @@ func report(tr *trace.Trace, rram bool, statsJSON string, topts traceOpts, plane
 		if class.h.Total() == 0 {
 			continue
 		}
-		fmt.Printf("lat %s  n=%d mean %.1f, p50 <=%d, p99 <=%d cycles\n",
+		fmt.Fprintf(out, "lat %s  n=%d mean %.1f, p50 <=%d, p99 <=%d cycles\n",
 			class.name, class.h.Total(), class.h.Mean(),
 			class.h.Quantile(0.5), class.h.Quantile(0.99))
 	}
-	fmt.Printf("device cmds   ACT=%d PRE=%d REF=%d modeSwitch=%d\n",
+	fmt.Fprintf(out, "device cmds   ACT=%d PRE=%d REF=%d modeSwitch=%d\n",
 		dev.Stats.Acts, dev.Stats.Pres, dev.Stats.Refs, dev.Stats.ModeSwitches)
 
-	if topts.enabled() {
-		// Close the last partial window so the series totals match the run.
-		if n := len(sp.Samples); n == 0 || sp.Samples[n-1].At < int64(end) {
-			sp.Record(etrace.Sample{
-				At: int64(end), Ctl: ctrl.Stats, Dev: dev.Stats.Clone(),
-				Queue: ctrl.Pending(),
-			})
-		}
-		buf.Name = cfg.Name
-		sp.Name = cfg.Name
-		if topts.out != "" {
-			if err := writeTraceFile(topts.out, func(f *os.File) error {
-				return etrace.WriteChrome(f, []*etrace.Buffer{buf}, []*etrace.Sampler{sp})
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("event trace   %d events (%d dropped), %d samples -> %s\n",
-				buf.Len(), buf.Dropped(), len(sp.Samples), topts.out)
-		}
-		if topts.csv != "" {
-			if err := writeTraceFile(topts.csv, func(f *os.File) error {
-				return etrace.WriteCSV(f, sp)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("trace csv     %d samples (window %d cycles) -> %s\n",
-				len(sp.Samples), sp.Window, topts.csv)
-		}
-	}
-
-	if statsJSON != "" {
-		out := struct {
-			Device   string
-			Requests int
-			Cycles   dram.Cycle
-			Metrics  *stats.Snapshot
-		}{cfg.Name, len(comps), end, reg.Snapshot()}
-		enc, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
+	if events.Enabled() {
+		sp.Close(end, snap)
+		if err := events.Write(out, []*etrace.Buffer{buf}, []*etrace.Sampler{sp}); err != nil {
 			return err
 		}
-		enc = append(enc, '\n')
-		if statsJSON == "-" {
-			_, err = os.Stdout.Write(enc)
-			return err
-		}
-		return os.WriteFile(statsJSON, enc, 0o644)
 	}
-	return nil
-}
-
-func writeTraceFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	if statsJSON == "" {
+		return nil
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return outfile.JSON(statsJSON, out, struct {
+		Device   string
+		Requests int
+		Cycles   dram.Cycle
+		Metrics  *stats.Snapshot
+	}{cfg.Name, len(comps), end, reg.Snapshot()})
 }

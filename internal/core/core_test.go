@@ -331,6 +331,24 @@ func TestPaperShapeRegression(t *testing.T) {
 	if v := gm("Q12", "RC-NVM-wd"); v > 1 {
 		t.Fatalf("Q12 RC-NVM-wd = %.2f, want below baseline (RRAM writes)", v)
 	}
+	// Known deviations from the paper, pinned at this workload to ±5% of
+	// the value the model reads today, so a model change that moves one
+	// shows up as an intended diff rather than drifting unnoticed.
+	for _, dev := range []struct {
+		what string
+		got  float64
+		pin  float64
+	}{
+		{"RC-NVM-bit Gmean-Q", gm("Gmean-Q", "RC-NVM-bit"), 1.99},     // paper 2.6
+		{"GS-DRAM-ecc Gmean-Qs", gm("Gmean-Qs", "GS-DRAM-ecc"), 0.91}, // paper 0.59
+		{"SAM-sub Gmean-Qs", gm("Gmean-Qs", "SAM-sub"), 0.82},         // paper 0.70
+		// Q12 3.61 on ideal vs 2.54 on SAM-en; the paper draws them close.
+		{"Q12 ideal/SAM-en", gm("Q12", "ideal") / gm("Q12", "SAM-en"), 1.42},
+	} {
+		if dev.got < dev.pin*0.95 || dev.got > dev.pin*1.05 {
+			t.Errorf("%s = %.3f, pinned deviation %.2f ±5%%", dev.what, dev.got, dev.pin)
+		}
+	}
 }
 
 func TestFig14bMonotonicGranularity(t *testing.T) {
@@ -401,6 +419,11 @@ func TestFig13Shapes(t *testing.T) {
 	// RRAM background is near zero.
 	if rcWd.Background >= base.Background/5 {
 		t.Fatalf("RC-NVM background %.0f vs DRAM %.0f", rcWd.Background, base.Background)
+	}
+	// SAM-IO's x16 fetch raises update power too: the paper's Write(Q11,Q12)
+	// bar is about 1.5x baseline.
+	if r := get("Write(Q11,Q12)", "SAM-IO").TotalMW / get("Write(Q11,Q12)", "baseline").TotalMW; r < 1.3 || r > 1.8 {
+		t.Fatalf("SAM-IO Write(Q11,Q12) power %.3fx baseline, want 1.3..1.8 (paper ~1.5)", r)
 	}
 	// Write-Qs category: NVM efficiency collapses below baseline.
 	if eff := get("Write(Qs5,Qs6)", "RC-NVM-wd").EnergyEff; eff >= 0.9 {

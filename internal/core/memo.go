@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"flag"
 	"sort"
 
 	"sam/internal/design"
@@ -49,6 +50,20 @@ func NewMemo(o MemoOptions) *Memo {
 	})}
 }
 
+// RegisterMemoFlags adds -cache-dir and -no-cache to fs and returns the
+// function that, once fs is parsed, builds the Memo they describe (nil
+// with -no-cache, which runs everything).
+func RegisterMemoFlags(fs *flag.FlagSet) func() *Memo {
+	dir := fs.String("cache-dir", "", "persist memoized run results in this directory (warm re-runs skip simulation)")
+	off := fs.Bool("no-cache", false, "disable run memoization entirely (overrides -cache-dir)")
+	return func() *Memo {
+		if *off {
+			return nil
+		}
+		return NewMemo(MemoOptions{Dir: *dir})
+	}
+}
+
 // Counters reads the cache instruments (hits, misses, dedup, bytes, …).
 func (m *Memo) Counters() memo.Counters { return m.cache.Counters() }
 
@@ -59,7 +74,11 @@ func (m *Memo) StatsSnapshot() *stats.Snapshot { return m.cache.StatsSnapshot() 
 // RunOne is the cached form of core.RunOne: a hit returns the previously
 // computed result, a miss runs the simulation and caches it. Safe for
 // concurrent use; concurrent lookups of the same key run one simulation.
+// A nil *Memo runs q uncached.
 func (m *Memo) RunOne(kind design.Kind, opts design.Options, w Workload, q BenchQuery) (*sim.QueryResult, error) {
+	if m == nil {
+		return RunOne(kind, opts, w, q)
+	}
 	r, _, err := m.runBench(kind, opts, w, q, nil)
 	return r, err
 }

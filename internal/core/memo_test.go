@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -354,6 +356,88 @@ func TestMemoDiskWarm(t *testing.T) {
 	ct = repair.Counters()
 	if ct.Misses != 1 || ct.DiskHits != 2 || ct.Corrupt != 1 {
 		t.Fatalf("recovery counters %+v, want 1 miss / 2 disk hits / 1 corrupt", ct)
+	}
+}
+
+// memoChildDir names the shared cache directory when the test binary runs
+// as a child process of TestMemoDiskMultiProcess.
+const memoChildDir = "SAM_MEMO_TEST_CHILD_DIR"
+
+// multiProcessCells are the runs every process of TestMemoDiskMultiProcess
+// asks its memo for.
+func multiProcessCells() []struct {
+	kind design.Kind
+	q    BenchQuery
+} {
+	b := Benchmark()
+	return []struct {
+		kind design.Kind
+		q    BenchQuery
+	}{{design.SAMEn, b[2]}, {design.Baseline, b[2]}, {design.Ideal, b[0]}, {design.SAMIO, b[12]}}
+}
+
+// TestMemoDiskMultiProcess shares one disk tier between processes: the
+// test re-executes its own binary as two concurrent children that run the
+// same cells through a Memo on one directory, racing to write each entry.
+// A third Memo on that directory must then serve every cell from disk,
+// intact and equal to an uncached run.
+func TestMemoDiskMultiProcess(t *testing.T) {
+	w := tiny()
+	if dir := os.Getenv(memoChildDir); dir != "" {
+		m := NewMemo(MemoOptions{Dir: dir})
+		for _, c := range multiProcessCells() {
+			if _, err := m.RunOne(c.kind, design.Options{}, w, c.q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skipf("cannot re-execute the test binary: %v", err)
+	}
+	dir := t.TempDir()
+	var children []*exec.Cmd
+	var outputs []*bytes.Buffer
+	for i := 0; i < 2; i++ {
+		cmd := exec.Command(exe, "-test.run=^TestMemoDiskMultiProcess$", "-test.count=1")
+		cmd.Env = append(os.Environ(), memoChildDir+"="+dir)
+		out := &bytes.Buffer{}
+		cmd.Stdout, cmd.Stderr = out, out
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		children = append(children, cmd)
+		outputs = append(outputs, out)
+	}
+	for i, cmd := range children {
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("child %d: %v\n%s", i, err, outputs[i])
+		}
+	}
+
+	m := NewMemo(MemoOptions{Dir: dir})
+	cells := multiProcessCells()
+	for _, c := range cells {
+		got, out, err := m.RunOneObserved(c.kind, design.Options{}, w, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != memo.DiskHit {
+			t.Errorf("%v %s: outcome %v, want a disk hit", c.kind, c.q.Name, out)
+		}
+		want, err := RunOne(c.kind, design.Options{}, w, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err1 := sim.EncodeResult(got)
+		wb, err2 := sim.EncodeResult(want)
+		if err1 != nil || err2 != nil || !bytes.Equal(gb, wb) {
+			t.Errorf("%v %s: disk result differs from an uncached run (%v, %v)", c.kind, c.q.Name, err1, err2)
+		}
+	}
+	if ct := m.Counters(); ct.DiskHits != uint64(len(cells)) || ct.Corrupt != 0 {
+		t.Fatalf("counters %+v, want %d disk hits and no corrupt entries", ct, len(cells))
 	}
 }
 

@@ -2,6 +2,7 @@ package etrace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -268,6 +269,32 @@ func TestSamplerDueAdvance(t *testing.T) {
 		}
 	}()
 	NewSampler(0)
+}
+
+// TestSamplerObserveClose pins the driver clock: out-of-order completion
+// times never move the clock back, a jump records one sample per crossed
+// window, and Close adds the flush sample at the run's end exactly once.
+func TestSamplerObserveClose(t *testing.T) {
+	sp := NewSampler(100)
+	snap := func(at int64) Sample { return Sample{At: at} }
+	for _, now := range []int64{120, 90, 350, 300} {
+		sp.Observe(now, snap)
+	}
+	sp.Close(420, snap)
+	sp.Close(420, snap)
+	var ats []int64
+	for _, smp := range sp.Samples {
+		ats = append(ats, smp.At)
+	}
+	if !reflect.DeepEqual(ats, []int64{100, 200, 300, 400, 420}) {
+		t.Fatalf("samples at %v, want [100 200 300 400 420]", ats)
+	}
+	// A run ending on a boundary needs no extra flush sample.
+	sp = NewSampler(100)
+	sp.Close(200, snap)
+	if len(sp.Samples) != 2 || sp.Samples[1].At != 200 {
+		t.Fatalf("samples %+v, want boundaries 100 and 200 only", sp.Samples)
+	}
 }
 
 func TestWriteCSVDeltas(t *testing.T) {

@@ -28,8 +28,9 @@ type Sample struct {
 }
 
 // Sampler collects Samples every Window bus cycles. The driver (sim engine
-// or a replay loop) owns the clock: it calls Due with its current relative
-// time and, for each due boundary, Advance + Record.
+// or a replay loop) reports each completion time to Observe and the run's
+// end to Close; both take a snap callback that builds the Sample at a
+// boundary.
 type Sampler struct {
 	// Name labels the series in exports (typically the design name).
 	Name string
@@ -38,7 +39,8 @@ type Sampler struct {
 	// Samples holds the recorded series, oldest first.
 	Samples []Sample
 
-	next int64 // next due boundary
+	next  int64 // next due boundary
+	clock int64 // high-water completion time seen by Observe
 }
 
 // NewSampler builds a sampler with the given window (bus cycles).
@@ -50,13 +52,12 @@ func NewSampler(window int64) *Sampler {
 }
 
 // Due reports whether a sample boundary is at or behind now (relative
-// cycles). Completion times arrive out of order across channels, so
-// drivers ratchet a high-water clock and loop while Due.
+// cycles).
 func (s *Sampler) Due(now int64) bool { return now >= s.next }
 
-// Advance consumes the due boundary and returns its timestamp. Callers pass
-// it as Sample.At so the series stays on exact window multiples even when
-// the driver's clock jumps several windows at once.
+// Advance consumes the due boundary and returns its timestamp, which
+// becomes Sample.At so the series stays on exact window multiples even
+// when the driver's clock jumps several windows at once.
 func (s *Sampler) Advance() int64 {
 	at := s.next
 	s.next += s.Window
@@ -65,6 +66,26 @@ func (s *Sampler) Advance() int64 {
 
 // Record appends one sample.
 func (s *Sampler) Record(smp Sample) { s.Samples = append(s.Samples, smp) }
+
+// Observe ratchets the sampler's clock to now (relative cycles) and records
+// snap(at) for every window boundary the clock has crossed. Completions
+// arrive out of order across channels, so the clock only moves forward.
+func (s *Sampler) Observe(now int64, snap func(at int64) Sample) {
+	s.clock = max(s.clock, now)
+	for s.Due(s.clock) {
+		s.Record(snap(s.Advance()))
+	}
+}
+
+// Close records the boundaries up to the run's end, then a final flush
+// sample at end that closes the last partial window, so the series'
+// cumulative totals equal the run's.
+func (s *Sampler) Close(end int64, snap func(at int64) Sample) {
+	s.Observe(end, snap)
+	if n := len(s.Samples); n == 0 || s.Samples[n-1].At < end {
+		s.Record(snap(end))
+	}
+}
 
 // csvHeader lists the per-window CSV columns.
 const csvHeader = "at,reads,writes,stride_reads,stride_writes,acts,pres,refs," +

@@ -20,8 +20,7 @@ import (
 // closing the event log and reporting the first write error. The log is
 // written one complete line per event, unbuffered, so a run killed
 // mid-sweep leaves a parseable log (missing only the summary record);
-// Close is idempotent, letting commands close the plane on their
-// os.Exit error paths and still defer it for the normal return.
+// Close is idempotent.
 
 // CLI holds the parsed observability flags.
 type CLI struct {
@@ -127,8 +126,8 @@ func (p *Plane) shutdown() {
 }
 
 // Close stops the watchdog and server, writes the summary event, closes
-// the log, and returns the first error the event log hit. Idempotent:
-// later calls return the first call's result.
+// the log, and returns the first error the event log hit, prefixed
+// "obs:". Idempotent: later calls return the first call's result.
 func (p *Plane) Close() error {
 	if p == nil {
 		return nil
@@ -139,7 +138,9 @@ func (p *Plane) Close() error {
 		if p.logFile != nil {
 			err = errors.Join(err, p.logFile.Close())
 		}
-		p.closeErr = err
+		if err != nil {
+			p.closeErr = fmt.Errorf("obs: %w", err)
+		}
 	})
 	return p.closeErr
 }

@@ -37,11 +37,6 @@ type engine struct {
 	devBase []dram.DeviceStats
 	ctlBase []mc.Stats
 
-	// sampleClock is the high-water completion time (absolute bus cycles)
-	// driving the windowed sampler: completions across channels arrive out
-	// of order, so the sampler is advanced on a ratcheted maximum.
-	sampleClock dram.Cycle
-
 	// reg collects this run's distribution instruments. A fresh registry
 	// (and mc.Metrics) is attached per run, so histograms need no baseline
 	// subtraction — they are exactly this run's observations.
@@ -150,7 +145,7 @@ func (e *engine) serviceOne() bool {
 		}
 		e.nextChan = (e.nextChan + i + 1) % n
 		if e.sys.Sampler != nil {
-			e.noteTime(comp.DataEnd)
+			e.sys.Sampler.Observe(comp.DataEnd-e.t0, e.sample)
 		}
 		if !comp.Req.IsWrite {
 			e.inflight--
@@ -160,25 +155,13 @@ func (e *engine) serviceOne() bool {
 	return false
 }
 
-// noteTime ratchets the sampler clock to a completion time and records a
-// sample for every window boundary it crossed.
-func (e *engine) noteTime(at dram.Cycle) {
-	if at > e.sampleClock {
-		e.sampleClock = at
-	}
-	sp := e.sys.Sampler
-	for sp.Due(int64(e.sampleClock - e.t0)) {
-		e.recordSample(sp.Advance())
-	}
-}
-
-// recordSample snapshots the run-relative cumulative statistics (summed
+// sample snapshots the run-relative cumulative statistics (summed
 // across channels) at boundary at. Queue depth and inflight are the levels
 // at record time — sampled, like any profiler counter. The cross-channel
 // delta accumulates on the system's scratch DeviceStats (AddSub applies
 // per-bank deltas in place), so each sample clones one bank slice into the
 // series instead of one per channel.
-func (e *engine) recordSample(at int64) {
+func (e *engine) sample(at int64) etrace.Sample {
 	dev := &e.sys.sampleScratch
 	*dev = dram.DeviceStats{PerBank: dev.PerBank[:0]}
 	var ctl mc.Stats
@@ -188,9 +171,7 @@ func (e *engine) recordSample(at int64) {
 		ctl.Add(e.sys.controllers[ch].Stats.Sub(e.ctlBase[ch]))
 		queue += e.sys.controllers[ch].Pending()
 	}
-	e.sys.Sampler.Record(etrace.Sample{
-		At: at, Ctl: ctl, Dev: dev.Clone(), Queue: queue, Inflight: e.inflight,
-	})
+	return etrace.Sample{At: at, Ctl: ctl, Dev: dev.Clone(), Queue: queue, Inflight: e.inflight}
 }
 
 // enqueue pushes one request to its channel, applying window and queue
@@ -362,16 +343,8 @@ func (e *engine) finish() RunStats {
 		dev.Add(e.sys.devices[ch].Stats.Sub(e.devBase[ch]))
 		ctl.Add(cs.Sub(e.ctlBase[ch]))
 	}
-	if sp := e.sys.Sampler; sp != nil {
-		rel := int64(end - e.t0)
-		for sp.Due(rel) {
-			e.recordSample(sp.Advance())
-		}
-		// A final flush sample at the run's end closes the last partial
-		// window, so the series' cumulative totals equal the RunStats.
-		if n := len(sp.Samples); n == 0 || sp.Samples[n-1].At < rel {
-			e.recordSample(rel)
-		}
+	if e.sys.Sampler != nil {
+		e.sys.Sampler.Close(end-e.t0, e.sample)
 	}
 	end -= e.t0
 	act := power.Activity{

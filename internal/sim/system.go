@@ -89,7 +89,7 @@ type System struct {
 	devBase      []dram.DeviceStats
 	ctlBase      []mc.Stats
 	// sampleScratch accumulates the cross-channel device delta for one
-	// windowed sample (engine.recordSample), reusing its per-bank backing
+	// windowed sample (engine.sample), reusing its per-bank backing
 	// across samples and runs.
 	sampleScratch dram.DeviceStats
 }
